@@ -1,9 +1,10 @@
 // Benchmarks regenerating the reproduction's experiments (E3–E7 parsing,
 // querying, validation, and conversion; A1/A2 ablations) under
-// `go test -bench`. Each experiment also has a table-printing driver in
-// cmd/cxbench; the benchmarks here are the stable, statistically-sound
-// form (use -benchmem and -count for confidence). PERFORMANCE.md records
-// the ingest-path trajectory across PRs.
+// `go test -bench`. They are the experiments' only form: run one with
+// e.g. `go test -run '^$' -bench BenchmarkSACXParse -benchmem -count 5`
+// and compare medians. E6 reports its veto share and E7 its size
+// overhead as extra benchmark metrics. The end-to-end serving, editing
+// and ingest workloads are measured by perfbench (BENCHMARK.json).
 package repro_test
 
 import (
@@ -215,14 +216,21 @@ func BenchmarkPrevalidate(b *testing.B) {
 		rng := rand.New(rand.NewSource(7))
 		n := doc.Content().Len()
 		spans := make([]document.Span, 512)
+		vetoed := 0
 		for i := range spans {
 			lo := rng.Intn(n - 21)
-			spans[i] = document.NewSpan(lo, lo+1+rng.Intn(20))
+			spans[i] = runeSpan(doc.Content(), lo, lo+1+rng.Intn(20))
+			if validate.CheckInsertion(doc, h, wordsDTD, "w", spans[i]) != nil {
+				vetoed++
+			}
 		}
 		b.Run(fmt.Sprintf("words=%d", words), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = validate.CheckInsertion(doc, h, wordsDTD, "w", spans[i%len(spans)])
 			}
+			// Vetoes are random spans nesting inside an existing <w>
+			// ((#PCDATA) content) or overlapping one.
+			b.ReportMetric(float64(vetoed)/float64(len(spans)), "vetoed-share")
 		})
 	}
 }
@@ -247,59 +255,66 @@ func BenchmarkValidateFull(b *testing.B) {
 
 // ---- E7: representation conversion -------------------------------------
 
+// BenchmarkConvert times each representation's encoder and decoder and
+// reports its size overhead: encoded bytes per content byte (for the
+// distributed form, summed over its per-hierarchy files).
 func BenchmarkConvert(b *testing.B) {
 	doc, err := corpus.Generate(corpus.DefaultConfig(4000))
 	if err != nil {
 		b.Fatal(err)
 	}
-	ms, _ := drivers.EncodeMilestones(doc, drivers.EncodeOptions{})
-	fr, _ := drivers.EncodeFragmentation(doc, drivers.EncodeOptions{})
-	so, _ := drivers.EncodeStandoff(doc, drivers.EncodeOptions{})
-	b.Run("encode/milestones", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := drivers.EncodeMilestones(doc, drivers.EncodeOptions{}); err != nil {
-				b.Fatal(err)
+	opts := drivers.EncodeOptions{}
+	// Each encode closure keeps its last output for the matching decode.
+	var dist map[string][]byte
+	var ms, fr, so []byte
+	codecs := []struct {
+		name   string
+		encode func() (int, error)
+		decode func() error
+	}{
+		{"distributed", func() (n int, err error) {
+			dist, err = drivers.EncodeDistributed(doc, opts)
+			for _, data := range dist {
+				n += len(data)
 			}
+			return n, err
+		}, func() error { _, err := drivers.DecodeDistributed(dist); return err }},
+		{"milestones", func() (n int, err error) {
+			ms, err = drivers.EncodeMilestones(doc, opts)
+			return len(ms), err
+		}, func() error { _, err := drivers.DecodeMilestones(ms); return err }},
+		{"fragmentation", func() (n int, err error) {
+			fr, err = drivers.EncodeFragmentation(doc, opts)
+			return len(fr), err
+		}, func() error { _, err := drivers.DecodeFragmentation(fr); return err }},
+		{"standoff", func() (n int, err error) {
+			so, err = drivers.EncodeStandoff(doc, opts)
+			return len(so), err
+		}, func() error { _, err := drivers.DecodeStandoff(so); return err }},
+	}
+	contentBytes := float64(doc.Content().Len())
+	for _, c := range codecs {
+		size, err := c.encode()
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("encode/fragmentation", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := drivers.EncodeFragmentation(doc, drivers.EncodeOptions{}); err != nil {
-				b.Fatal(err)
+		b.Run("encode/"+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := c.encode(); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("encode/standoff", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := drivers.EncodeStandoff(doc, drivers.EncodeOptions{}); err != nil {
-				b.Fatal(err)
+			b.ReportMetric(float64(size)/contentBytes, "bytes/content-byte")
+		})
+		b.Run("decode/"+c.name, func(b *testing.B) {
+			b.SetBytes(int64(size))
+			for i := 0; i < b.N; i++ {
+				if err := c.decode(); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("decode/milestones", func(b *testing.B) {
-		b.SetBytes(int64(len(ms)))
-		for i := 0; i < b.N; i++ {
-			if _, err := drivers.DecodeMilestones(ms); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode/fragmentation", func(b *testing.B) {
-		b.SetBytes(int64(len(fr)))
-		for i := 0; i < b.N; i++ {
-			if _, err := drivers.DecodeFragmentation(fr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode/standoff", func(b *testing.B) {
-		b.SetBytes(int64(len(so)))
-		for i := 0; i < b.N; i++ {
-			if _, err := drivers.DecodeStandoff(so); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // ---- A1: SACX merge strategies ------------------------------------------
@@ -378,54 +393,90 @@ func BenchmarkInsertElement(b *testing.B) {
 		lastEnd := 0
 		for k := 0; k < 100; k++ {
 			lo := lastEnd + rng.Intn(20)
-			hi := lo + 1 + rng.Intn(10)
-			if hi >= n {
+			span := runeSpan(doc.Content(), lo, lo+1+rng.Intn(10))
+			if span.End >= n {
 				break
 			}
-			if _, err := doc.InsertElement(h, "ann", nil, document.NewSpan(lo, hi)); err != nil {
+			if _, err := doc.InsertElement(h, "ann", nil, span); err != nil {
 				b.Fatal(err)
 			}
-			lastEnd = hi
+			lastEnd = span.End
 		}
 	}
 }
 
+// runeSpan snaps the byte range [lo,hi) forward to rune boundaries of c,
+// keeping it non-empty: the corpus content is multibyte, and a span that
+// splits a character is rejected before any work the benchmark measures.
+func runeSpan(c *document.Content, lo, hi int) document.Span {
+	for !c.IsRuneBoundary(lo) {
+		lo++
+	}
+	hi = max(hi, lo+1)
+	for !c.IsRuneBoundary(hi) {
+		hi++
+	}
+	return document.NewSpan(lo, hi)
+}
+
 // ---- persistent storage (S15) --------------------------------------------
 
+// BenchmarkStoreSave times the v3 encoder that Save writes.
 func BenchmarkStoreSave(b *testing.B) {
 	doc, err := corpus.Generate(corpus.DefaultConfig(4000))
 	if err != nil {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := store.Encode(&buf, doc); err != nil {
+	if err := store.EncodeV3(&buf, doc); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(buf.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := store.Encode(&buf, doc); err != nil {
+		if err := store.EncodeV3(&buf, doc); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// BenchmarkStoreLoad times the catalog's v3 open, minus the mmap itself:
+// header and section checks, then the lazily materializing document
+// (element columns are validated on first structural access). The v2
+// sub-benchmark times the decode that legacy files still load through.
 func BenchmarkStoreLoad(b *testing.B) {
 	doc, err := corpus.Generate(corpus.DefaultConfig(4000))
 	if err != nil {
 		b.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := store.Encode(&buf, doc); err != nil {
+	var v3, v2 bytes.Buffer
+	if err := store.EncodeV3(&v3, doc); err != nil {
 		b.Fatal(err)
 	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := store.Decode(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
+	if err := store.Encode(&v2, doc); err != nil {
+		b.Fatal(err)
 	}
+	b.Run("v3", func(b *testing.B) {
+		data := v3.Bytes()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			m, err := store.OpenMappedBytes(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := m.Document(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("v2", func(b *testing.B) {
+		data := v2.Bytes()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			if _, err := store.Decode(bytes.NewReader(data)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -293,7 +293,7 @@ func GenerateSources(cfg Config) ([]sacx.Source, error) {
 }
 
 // CountOverlaps reports how many element pairs properly overlap in doc —
-// the workload's "conflict density" statistic reported by cxbench.
+// the workload's "conflict density" statistic reported by cxparse -stats.
 func CountOverlaps(doc *goddag.Document) int {
 	els := doc.Elements()
 	n := 0

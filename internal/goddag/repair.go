@@ -39,8 +39,8 @@ import (
 // honest cost. Attribute edits never touch the indexes at all.
 //
 // SetIncrementalRepair(false) restores bump-and-rebuild for every
-// mutation; the differential tests and cxbench -exp edit use it to hold
-// the repaired indexes against from-scratch rebuilds.
+// mutation; the differential tests use it as their oracle, holding the
+// repaired indexes against from-scratch rebuilds.
 
 // SetIncrementalRepair toggles in-place index repair after structural
 // mutations (default enabled). With repair off, every mutation

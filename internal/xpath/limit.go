@@ -4,61 +4,48 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 )
 
 // This file is the request-lifecycle seam of the evaluator: a Limiter
 // carries one evaluation's cancellation context and resource budget and
 // is consulted at amortized checkpoints — every visited node increments
-// a counter, and every checkInterval visits the context and wall clock
-// are actually polled. The per-node cost is therefore a few arithmetic
-// operations (or a single nil check when no limits apply), while a
-// cancelled or over-budget evaluation still stops within at most
-// checkInterval node visits of the trigger.
+// a counter, and every checkInterval visits the context is actually
+// polled. The per-node cost is therefore a few arithmetic operations (or
+// a single nil check when no limits apply), while a cancelled or
+// over-budget evaluation still stops within at most checkInterval node
+// visits of the trigger.
 
 // checkInterval is the amortization grain of the cooperative
-// checkpoints: ctx.Err() and the wall clock are consulted once per this
-// many visited nodes.
+// checkpoints: ctx.Err() is consulted once per this many visited nodes.
 const checkInterval = 1024
 
 // ErrBudgetExceeded is the sentinel matched (via errors.Is) by every
-// budget exhaustion, whichever dimension tripped. Context cancellation
-// is NOT a budget error: a cancelled or expired context surfaces as
-// context.Canceled / context.DeadlineExceeded so callers can tell "the
-// client gave up" from "the query is too expensive".
+// budget exhaustion. Context cancellation is NOT a budget error: a
+// cancelled or expired context surfaces as context.Canceled /
+// context.DeadlineExceeded so callers can tell "the client gave up" from
+// "the query is too expensive".
 var ErrBudgetExceeded = errors.New("evaluation budget exceeded")
 
 // Budget bounds one evaluation's resources. The zero value means
-// unlimited.
+// unlimited. Wall time is bounded by a context deadline instead, which
+// reports context.DeadlineExceeded rather than a BudgetError.
 type Budget struct {
 	// MaxVisited caps the number of nodes the evaluation may visit —
 	// candidates enumerated by axis steps, expressions evaluated, nodes
 	// pulled from streams — before it aborts with a BudgetError.
 	MaxVisited int
-	// MaxTime caps the evaluation's wall-clock time, checked at the
-	// same amortized checkpoints. Callers with a context deadline
-	// usually leave this zero: a deadline reports
-	// context.DeadlineExceeded, MaxTime reports a BudgetError.
-	MaxTime time.Duration
 }
 
-func (b Budget) unlimited() bool { return b.MaxVisited <= 0 && b.MaxTime <= 0 }
-
-// BudgetError reports which budget dimension an evaluation exhausted.
+// BudgetError reports an exhausted node budget.
 // errors.Is(err, ErrBudgetExceeded) matches it.
 type BudgetError struct {
-	Kind    string        // "nodes" or "time"
-	Visited int64         // nodes visited when the budget tripped
-	Limit   int64         // the node cap (Kind "nodes")
-	Elapsed time.Duration // run time at the trip (Kind "time")
-	Max     time.Duration // the wall-time cap (Kind "time")
+	Kind    string // "nodes", the only budget dimension
+	Visited int64  // nodes visited when the budget tripped
+	Limit   int64  // the node cap
 }
 
 // Error implements the error interface.
 func (e *BudgetError) Error() string {
-	if e.Kind == "time" {
-		return fmt.Sprintf("xpath: evaluation budget exceeded: ran %v of allowed %v", e.Elapsed.Round(time.Millisecond), e.Max)
-	}
 	return fmt.Sprintf("xpath: evaluation budget exceeded: visited %d of allowed %d nodes", e.Visited, e.Limit)
 }
 
@@ -72,11 +59,9 @@ func (e *BudgetError) Is(target error) bool { return target == ErrBudgetExceeded
 // Limiters are single-goroutine state, like the evaluator they ride in.
 type Limiter struct {
 	ctx        context.Context // nil when cancellation cannot occur
-	start      time.Time       // set when maxTime > 0
-	maxTime    time.Duration
 	maxVisited int64
 	visited    int64
-	countdown  int64 // visits until the next ctx/clock poll
+	countdown  int64 // visits until the next ctx poll
 	err        error // sticky: first trip, returned ever after
 }
 
@@ -85,15 +70,12 @@ type Limiter struct {
 // limit-free evaluations pay only a nil check per visit.
 func NewLimiter(ctx context.Context, b Budget) *Limiter {
 	hasCtx := ctx != nil && ctx.Done() != nil
-	if !hasCtx && b.unlimited() {
+	if !hasCtx && b.MaxVisited <= 0 {
 		return nil
 	}
-	l := &Limiter{maxVisited: int64(b.MaxVisited), maxTime: b.MaxTime, countdown: checkInterval}
+	l := &Limiter{maxVisited: int64(b.MaxVisited), countdown: checkInterval}
 	if hasCtx {
 		l.ctx = ctx
-	}
-	if b.MaxTime > 0 {
-		l.start = time.Now()
 	}
 	// Pre-poll: a context that is already over makes the limiter start
 	// tripped, so even an evaluation too small to reach its first
@@ -108,8 +90,8 @@ func NewLimiter(ctx context.Context, b Budget) *Limiter {
 
 // Visit records n more visited nodes and returns the evaluation's fate:
 // nil to continue, or the sticky cancellation/budget error to unwind
-// with. The context and wall clock are polled only every checkInterval
-// visits; the node cap is exact.
+// with. The context is polled only every checkInterval visits; the node
+// cap is exact.
 func (l *Limiter) Visit(n int) error {
 	if l == nil {
 		return nil
@@ -130,21 +112,12 @@ func (l *Limiter) Visit(n int) error {
 	return l.poll()
 }
 
-// poll is the slow path of Visit: consult the context and wall clock.
+// poll is the slow path of Visit: consult the context.
 func (l *Limiter) poll() error {
 	if l.ctx != nil {
-		if err := l.ctx.Err(); err != nil {
-			l.err = err
-			return err
-		}
+		l.err = l.ctx.Err()
 	}
-	if l.maxTime > 0 {
-		if el := time.Since(l.start); el > l.maxTime {
-			l.err = &BudgetError{Kind: "time", Visited: l.visited, Elapsed: el, Max: l.maxTime}
-			return l.err
-		}
-	}
-	return nil
+	return l.err
 }
 
 // Visited returns the number of nodes visited so far.

@@ -12,7 +12,7 @@ import (
 // nil) and with a limiter that is active but never trips. The deltas
 // between the off and on variants ARE the checkpoint overhead —
 // measured in one process, immune to the run-to-run machine drift that
-// dominates the cross-snapshot BENCH_serve comparison.
+// dominates any comparison across separate runs.
 func BenchmarkCheckpointOverhead(b *testing.B) {
 	doc := wordsDoc(b, 2000)
 	for _, qs := range []string{"//w", "count(//w)"} {
