@@ -323,6 +323,10 @@ func (c *Catalog) recover(e *entry, doc *core.Document) (*core.Document, error) 
 		}
 	}
 
+	// Replayed batches are not undoable: history starts at the recovered
+	// state, as it does after any load.
+	doc = core.FromGODDAG(doc.GODDAG())
+
 	// Converge: persist the recovered state and retire the log.
 	savePath := filepath.Join(c.dir, e.id+".gdag")
 	saveErr := c.saveWithRetry(savePath, doc.GODDAG())

@@ -457,8 +457,12 @@ func (d *Document) ExportColumns() *Columns {
 		pos[e] = uint32(k)
 	}
 	tags := make([]string, 0, len(nameIdx))
-	for t := range nameIdx {
-		tags = append(tags, t)
+	for t, es := range nameIdx {
+		// Repair can leave a tag's bucket empty; a rebuilt index has no
+		// such bucket, and the image must not depend on which one ran.
+		if len(es) > 0 {
+			tags = append(tags, t)
+		}
 	}
 	sort.Strings(tags)
 	for _, t := range tags {
