@@ -378,15 +378,13 @@ func benchOverlap(b *testing.B, opts xpath.Options) {
 func BenchmarkInsertElement(b *testing.B) {
 	cfg := corpus.DefaultConfig(2000)
 	cfg.Hierarchies = 2
-	base, err := corpus.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := base.Content().Len()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		doc := base.Clone()
+		doc, err := corpus.Generate(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := doc.Content().Len()
 		h := doc.AddHierarchy("bench")
 		rng := rand.New(rand.NewSource(int64(i)))
 		b.StartTimer()

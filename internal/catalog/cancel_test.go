@@ -90,10 +90,10 @@ func TestViewContextDeadlineBehindWriter(t *testing.T) {
 	release := make(chan struct{})
 	updErr := make(chan error, 1)
 	go func() {
-		updErr <- c.Update("plain", func(*core.Document) error {
+		// post runs under the write lock: hold it until released.
+		updErr <- c.UpdateBatch("plain", editOps, func(*core.Document) {
 			close(editing)
 			<-release
-			return nil
 		})
 	}()
 	<-editing
@@ -111,7 +111,7 @@ func TestViewContextDeadlineBehindWriter(t *testing.T) {
 
 	close(release)
 	if err := <-updErr; err != nil {
-		t.Fatalf("Update around cancelled reader: %v", err)
+		t.Fatalf("UpdateBatch around cancelled reader: %v", err)
 	}
 	// The lock is healthy after the abandoned acquisition.
 	if err := c.View("plain", func(*core.Document) error { return nil }); err != nil {
@@ -119,13 +119,17 @@ func TestViewContextDeadlineBehindWriter(t *testing.T) {
 	}
 }
 
-// TestUpdateContextCancelledBeforeLockChangesNothing: an update that
-// gives up while queued behind readers commits nothing, and its parked
-// writer preference is withdrawn so new readers are not stranded.
-func TestUpdateContextCancelledBeforeLockChangesNothing(t *testing.T) {
+// TestWriteCancelledBeforeLockChangesNothing: a write (op batch or
+// history move) that gives up while queued behind readers commits
+// nothing, and its parked writer preference is withdrawn so new readers
+// are not stranded.
+func TestWriteCancelledBeforeLockChangesNothing(t *testing.T) {
 	dir := writeCorpusDir(t, 80)
 	c, err := Open(dir, Options{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.UpdateBatch("plain", editOps, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,30 +145,37 @@ func TestUpdateContextCancelledBeforeLockChangesNothing(t *testing.T) {
 	}()
 	<-reading
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
 	ran := false
-	err = c.UpdateContext(ctx, "plain", func(*core.Document) error { ran = true; return nil })
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("UpdateContext behind reader: err = %v, want DeadlineExceeded", err)
-	}
-	if ran {
-		t.Fatal("cancelled UpdateContext ran its edit function")
-	}
-
-	// Writer preference was withdrawn: a NEW reader gets in while the
-	// first reader still holds the lock (no writer is waiting anymore).
-	done := make(chan error, 1)
-	go func() {
-		done <- c.View("plain", func(*core.Document) error { return nil })
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("reader after cancelled writer: %v", err)
+	post := func(*core.Document) { ran = true }
+	for name, write := range map[string]func(context.Context) error{
+		"batch": func(ctx context.Context) error { return c.UpdateBatchContext(ctx, "plain", editOps, post) },
+		"undo":  func(ctx context.Context) error { return c.Undo(ctx, "plain", post) },
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		err = write(ctx)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s behind reader: err = %v, want DeadlineExceeded", name, err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("reader stranded behind a cancelled writer's preference")
+		if ran {
+			t.Fatalf("cancelled %s committed", name)
+		}
+
+		// Writer preference was withdrawn: a NEW reader gets in while
+		// the first reader still holds the lock (no writer is waiting
+		// anymore).
+		done := make(chan error, 1)
+		go func() {
+			done <- c.View("plain", func(*core.Document) error { return nil })
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("reader after cancelled %s: %v", name, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("reader stranded behind a cancelled %s's preference", name)
+		}
 	}
 
 	close(release)
@@ -172,11 +183,11 @@ func TestUpdateContextCancelledBeforeLockChangesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds, _ := c.Doc("plain")
-	if ds.Edits != 0 || ds.Dirty {
-		t.Fatalf("cancelled update left a mark: %+v", ds)
+	if ds.Edits != 1 || ds.Dirty {
+		t.Fatalf("cancelled writes left a mark: %+v", ds)
 	}
-	// The write path still works.
-	if err := c.Update("plain", func(*core.Document) error { return nil }); err != nil {
-		t.Fatalf("Update after cancelled UpdateContext: %v", err)
+	// The write path still works: the undo the cancelled one gave up.
+	if err := c.Undo(context.Background(), "plain", nil); err != nil {
+		t.Fatalf("Undo after cancelled writes: %v", err)
 	}
 }

@@ -37,31 +37,31 @@
 //     edits (dirty) or an edit in flight are never evicted.
 //
 // Documents are editable. Each entry carries a read/write lock: View
-// runs a reader under the read lock (any number in parallel), Update
-// runs an editor under the write lock (writers serialize, readers see
-// either the pre- or post-edit state, never a torn one). A successful
-// Update is persisted immediately — the document is encoded to
-// <id>.gdag in the catalog directory via an atomic temp-file + rename
-// (store.Save) and the entry repoints to that file, so a later eviction
-// and reload reproduces the edited document. The dirty flag is visible
-// in stats only in the window where a save failed.
+// runs a reader under the read lock (any number in parallel), while
+// UpdateBatch (an op batch) and Undo/Redo (a history move) run under
+// the write lock (writers serialize, readers see either the pre- or
+// post-edit state, never a torn one). Every write is write-ahead logged
+// (see durable.go) and persisted immediately — the session's v3 image
+// of the committed state is written to <id>.gdag in the catalog
+// directory via an atomic temp-file + rename (store.SaveImageFS) and
+// the entry repoints to that file, so a later eviction and reload
+// reproduces the edited document. The dirty flag is visible in stats
+// only in the window where a save failed.
 //
 // Get remains for read-only deployments and statistics: it returns the
 // document without read-locking it, so callers that run concurrently
-// with Update must use View instead. All Catalog methods are safe for
+// with writes must use View instead. All Catalog methods are safe for
 // concurrent use.
 //
-// Every blocking method has a Context variant (GetContext, ViewContext,
-// UpdateContext, UpdateBatchContext) that bounds its *waiting* — for the
-// per-document lock, or for a cold load — by the caller's context.
-// Shared work is never aborted on a waiter's behalf: an in-flight load
-// finishes and publishes for the remaining waiters, and an update past
-// its commit point persists in full. The context-free names delegate
-// with context.Background().
+// Every blocking method bounds its *waiting* — for the per-document
+// lock, or for a cold load — by a context (GetContext, ViewContext,
+// UpdateBatchContext, Undo, Redo). Shared work is never aborted on a
+// waiter's behalf: an in-flight load finishes and publishes for the
+// remaining waiters, and a write past its commit point persists in
+// full. The context-free names delegate with context.Background().
 package catalog
 
 import (
-	"bytes"
 	"container/list"
 	"context"
 	"errors"
@@ -210,14 +210,14 @@ type entry struct {
 	flight *flight // in-progress load, nil otherwise
 
 	// rw orders readers and writers of the resident document: View holds
-	// the read side for the whole evaluation, Update the write side for
+	// the read side for the whole evaluation, a write the write side for
 	// the whole edit + save. It outlives evictions (entries are never
 	// deleted), so a reload under a held lock stays ordered. Acquisition
 	// is context-bounded (ctxRWMutex): a request whose deadline expires
 	// while queued behind a long edit or read barrage gives up its place
 	// instead of pinning a goroutine until the lock frees.
 	rw      ctxRWMutex
-	editing int    // Updates in flight or queued (guards eviction)
+	editing int    // writes in flight or queued (guards eviction)
 	dirty   bool   // edited state not yet persisted (save failed)
 	edits   uint64 // committed edit transactions
 
@@ -367,7 +367,7 @@ func (c *Catalog) IDs() []string {
 // it on first use. Concurrent Gets of the same cold document share one
 // load. The returned document remains valid even if the catalog later
 // evicts it, but Get takes no read lock: callers that may run
-// concurrently with Update on the same document must use View instead.
+// concurrently with a write to the same document must use View instead.
 // Get never gives up waiting; request-scoped callers use GetContext.
 func (c *Catalog) Get(id string) (*core.Document, error) {
 	return c.GetContext(context.Background(), id)
@@ -606,7 +606,7 @@ func (c *Catalog) Evict(id string) bool {
 }
 
 // View runs fn with the document under its read lock: any number of
-// views proceed in parallel, and none overlaps an Update of the same
+// views proceed in parallel, and none overlaps a write to the same
 // document, so fn evaluates against a consistent snapshot. The document
 // must not escape fn.
 func (c *Catalog) View(id string, fn func(*core.Document) error) error {
@@ -651,74 +651,6 @@ func (c *Catalog) IndexStats(id string) (goddag.IndexStats, error) {
 		return nil
 	})
 	return st, err
-}
-
-// Update runs fn with the document under its write lock, then persists
-// the result: writers serialize per document, no View overlaps, and a
-// successful fn is saved to <id>.gdag in the catalog directory through
-// an atomic temp-file + rename before Update returns. The entry then
-// sources from that file, so eviction + reload reproduces the edited
-// document. fn must leave the document consistent on error (the editor's
-// transactions roll back automatically); nothing is persisted then.
-//
-// A failed save leaves the in-memory edit in place and the entry marked
-// dirty: the document keeps serving and cannot be evicted, and the next
-// successful Update clears the flag. With the write-ahead log on, the
-// committed post-state is also snapshot-logged before the save, so even
-// a "not persisted" edit survives a crash; Update still reports the
-// save failure so callers see the degraded disk. Edits whose ops are
-// known up front should use UpdateBatch, which logs the (much smaller)
-// op batch instead and treats the fsynced log record as the commit
-// point.
-func (c *Catalog) Update(id string, fn func(*core.Document) error) error {
-	return c.UpdateContext(context.Background(), id, fn)
-}
-
-// UpdateContext is Update bounded by ctx — but only up to the point of
-// no return: the write-lock acquisition and a cold load give up with
-// ctx.Err() (nothing has changed), while a commit already past fn is
-// always persisted in full, so cancellation can never tear an edit or
-// abandon a committed-but-unsaved state.
-func (c *Catalog) UpdateContext(ctx context.Context, id string, fn func(*core.Document) error) error {
-	e, err := c.beginEdit(id)
-	if err != nil {
-		return err
-	}
-	defer c.endEdit(e)
-	tr := obs.TraceFrom(ctx)
-	lockStart := lockWaitStart(c.met.lockWrite, tr)
-	if err := e.rw.Lock(ctx); err != nil {
-		return err
-	}
-	finishLockWait(lockStart, c.met.lockWrite, tr)
-	defer e.rw.Unlock()
-	doc, err := c.GetContext(ctx, id)
-	if err != nil {
-		return err
-	}
-
-	if err := fn(doc); err != nil {
-		return err
-	}
-
-	// Log the committed post-state before saving: an arbitrary closure
-	// (undo, redo, programmatic edits) is not expressible as an op
-	// batch, so the record is a full snapshot — naturally idempotent at
-	// replay. A crash in the window between the editor commit and this
-	// append loses the closure's effect; batches logged through
-	// UpdateBatch close that window.
-	walDurable := false
-	if w := c.walFor(e); w != nil {
-		var buf bytes.Buffer
-		if doc.Save(&buf) == nil {
-			appendStart := time.Now()
-			if w.Append(store.RecordSnapshot, 0, buf.Bytes()) == nil {
-				walDurable = true
-			}
-			c.met.walAppend.Observe(time.Since(appendStart))
-		}
-	}
-	return c.persistCommit(e, doc, walDurable, true, nil)
 }
 
 // DocStats describes one catalogued document.

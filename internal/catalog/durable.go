@@ -11,6 +11,12 @@
 // already reached the saved base (crash between the save's rename and
 // the log reset) is skipped, never applied twice.
 //
+// Undo and Redo are the other writes. A history move is not an op
+// batch, so it applies first and is then logged as a snapshot record:
+// the v3 image the session kept of the state it restored, which is
+// also the image the save writes. A commit therefore builds at most one
+// v3 image: one for a batch, none for a move.
+//
 // A disk that keeps failing degrades service instead of wedging it:
 // FailThreshold consecutive failed persists turn the document
 // read-only, twice that turns the whole catalog read-only (both sticky
@@ -29,7 +35,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/editor"
-	"repro/internal/goddag"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -96,6 +101,71 @@ func (c *Catalog) UpdateBatch(id string, ops []editor.Op, post func(*core.Docume
 // the commit, and a half-abandoned commit is exactly what the edit WAL
 // exists to prevent.
 func (c *Catalog) UpdateBatchContext(ctx context.Context, id string, ops []editor.Op, post func(*core.Document)) error {
+	return c.edit(ctx, id, func(e *entry, doc *core.Document) error {
+		// Append-before-apply. A failed append falls back to
+		// save-on-commit durability (the edit still applies and saves
+		// below) rather than rejecting the edit: availability degrades
+		// last, and if the save also fails the persist counters degrade
+		// the document to read-only.
+		walDurable := false
+		var mark int64
+		if w := c.walFor(e); w != nil {
+			if payload, err := json.Marshal(editor.Batch{Ops: ops}); err == nil {
+				mark = w.Size()
+				walDurable = c.walAppend(w, store.RecordOps, c.fingerprint(e, doc), payload)
+			}
+		}
+
+		if err := doc.Edit().ApplyBatch(ops); err != nil {
+			if walDurable {
+				// Unlog the vetoed batch. A failed rewind is tolerable:
+				// the record re-vetoes identically at replay
+				// (prevalidation is deterministic), so it can never
+				// resurrect the batch.
+				_ = e.wal.Rewind(mark)
+			}
+			return err
+		}
+		return c.persistCommit(e, doc, walDurable, post)
+	})
+}
+
+// Undo reverts the document's most recent committed batch or history
+// move and commits the restored state like a batch: its v3 image, kept
+// by the session, is logged as a snapshot record and saved, so nothing
+// is encoded. The move applies before it is logged; a crash in between
+// loses it. An empty history returns editor.ErrNothingToUndo. History
+// is per resident session: eviction and reopen start it afresh. ctx and
+// post are as in UpdateBatchContext.
+func (c *Catalog) Undo(ctx context.Context, id string, post func(*core.Document)) error {
+	return c.move(ctx, id, (*editor.Session).Undo, post)
+}
+
+// Redo re-applies the most recently undone change, committed as Undo
+// commits; an empty redo stack returns editor.ErrNothingToRedo.
+func (c *Catalog) Redo(ctx context.Context, id string, post func(*core.Document)) error {
+	return c.move(ctx, id, (*editor.Session).Redo, post)
+}
+
+// move runs one history move, then logs and saves the restored state.
+func (c *Catalog) move(ctx context.Context, id string, move func(*editor.Session) error, post func(*core.Document)) error {
+	return c.edit(ctx, id, func(e *entry, doc *core.Document) error {
+		if err := move(doc.Edit()); err != nil {
+			return err
+		}
+		walDurable := false
+		if w := c.walFor(e); w != nil {
+			if img, err := doc.Edit().Image(); err == nil {
+				walDurable = c.walAppend(w, store.RecordSnapshot, 0, img)
+			}
+		}
+		return c.persistCommit(e, doc, walDurable, post)
+	})
+}
+
+// edit is every write's prologue: beginEdit, then the write lock and
+// the load, each wait bounded by ctx; commit runs under the lock.
+func (c *Catalog) edit(ctx context.Context, id string, commit func(*entry, *core.Document) error) error {
 	e, err := c.beginEdit(id)
 	if err != nil {
 		return err
@@ -112,47 +182,27 @@ func (c *Catalog) UpdateBatchContext(ctx context.Context, id string, ops []edito
 	if err != nil {
 		return err
 	}
+	return commit(e, doc)
+}
 
-	// Append-before-apply. A failed append falls back to save-on-commit
-	// durability (the edit still applies and saves below) rather than
-	// rejecting the edit: availability degrades last, and if the save
-	// also fails the persist counters degrade the document to read-only.
-	walDurable := false
-	var mark int64
-	if w := c.walFor(e); w != nil {
-		if payload, err := json.Marshal(editor.Batch{Ops: ops}); err == nil {
-			mark = w.Size()
-			appendStart := time.Now()
-			if w.Append(store.RecordOps, c.fingerprint(e, doc), payload) == nil {
-				walDurable = true
-			}
-			c.met.walAppend.Observe(time.Since(appendStart))
-		}
-	}
-
-	if err := doc.Edit().ApplyBatch(ops); err != nil {
-		if walDurable {
-			// Unlog the vetoed batch. A failed rewind is tolerable: the
-			// record re-vetoes identically at replay (prevalidation is
-			// deterministic), so it can never resurrect the batch.
-			_ = e.wal.Rewind(mark)
-		}
-		return err
-	}
-	return c.persistCommit(e, doc, walDurable, false, post)
+// walAppend appends one record and reports whether it is durable.
+func (c *Catalog) walAppend(w *store.WAL, kind store.RecordKind, pre uint32, payload []byte) bool {
+	start := time.Now()
+	err := w.Append(kind, pre, payload)
+	c.met.walAppend.Observe(time.Since(start))
+	return err == nil
 }
 
 // persistCommit finishes a committed edit: save with retries, reset the
 // WAL on success, account the failure streaks, re-account the memory
-// footprint. strict callers (Update) get the save error even when the
-// WAL already made the edit durable; UpdateBatch treats its fsynced log
-// record as the commit point and reports success.
-func (c *Catalog) persistCommit(e *entry, doc *core.Document, walDurable, strict bool, post func(*core.Document)) error {
+// footprint. A save failure is reported only when the WAL did not make
+// the edit durable: the fsynced record is the commit point.
+func (c *Catalog) persistCommit(e *entry, doc *core.Document, walDurable bool, post func(*core.Document)) error {
 	// The committed state is the pre-state of the next logged batch;
 	// recompute the cached fingerprint lazily.
 	e.fpValid = false
 	savePath := filepath.Join(c.dir, e.id+".gdag")
-	saveErr := c.saveWithRetry(savePath, doc.GODDAG())
+	saveErr := c.saveWithRetry(savePath, doc.Edit())
 	if saveErr == nil && e.wal != nil && !e.wal.Empty() {
 		// The .gdag now carries the state; the log's records are spent.
 		// A failed reset is tolerable: stale records are inert at replay
@@ -177,28 +227,31 @@ func (c *Catalog) persistCommit(e *entry, doc *core.Document, walDurable, strict
 		c.persistOKLocked(e)
 	}
 	// Re-account the footprint: the edit may have grown or shrunk the
-	// document (and its repaired indexes), and each committed
-	// transaction or history move also holds a full snapshot on the
-	// session's undo/redo stacks — count those too, or sustained edit
-	// traffic would blow the budget invisibly.
+	// document (and its repaired indexes), and the session holds the
+	// images of its undo/redo history and current state — count those
+	// too, or sustained edit traffic would blow the budget invisibly.
 	if e.doc != nil {
 		size := doc.GODDAG().Footprint() + doc.Edit().HistoryFootprint()
 		c.resident += size - e.bytes
 		e.bytes = size
 		c.evictLocked()
 	}
-	if saveErr != nil && (strict || !walDurable) {
+	if saveErr != nil && !walDurable {
 		return fmt.Errorf("catalog: update %q applied but not persisted: %w", e.id, saveErr)
 	}
 	return nil
 }
 
-// saveWithRetry is store.SaveFS with capped exponential backoff: a
-// transient failure (ENOSPC racing a cleanup, a briefly stalled disk)
+// saveWithRetry saves the session's current image (store.SaveImageFS;
+// it stays cached for the next Begin) with capped exponential backoff:
+// a transient failure (ENOSPC racing a cleanup, a briefly stalled disk)
 // retries up to c.saveRetries attempts before the commit is declared
 // not persisted.
-func (c *Catalog) saveWithRetry(path string, g *goddag.Document) error {
-	var err error
+func (c *Catalog) saveWithRetry(path string, s *editor.Session) error {
+	img, err := s.Image()
+	if err != nil {
+		return err
+	}
 	delay := c.retryBase
 	for attempt := 0; attempt < c.saveRetries; attempt++ {
 		if attempt > 0 {
@@ -209,7 +262,7 @@ func (c *Catalog) saveWithRetry(path string, g *goddag.Document) error {
 			}
 		}
 		saveStart := time.Now()
-		err = store.SaveFS(c.fsys, path, g)
+		err = store.SaveImageFS(c.fsys, path, img)
 		c.met.save.Observe(time.Since(saveStart))
 		if err == nil {
 			return nil
@@ -329,7 +382,7 @@ func (c *Catalog) recover(e *entry, doc *core.Document) (*core.Document, error) 
 
 	// Converge: persist the recovered state and retire the log.
 	savePath := filepath.Join(c.dir, e.id+".gdag")
-	saveErr := c.saveWithRetry(savePath, doc.GODDAG())
+	saveErr := c.saveWithRetry(savePath, doc.Edit())
 	c.mu.Lock()
 	if saveErr == nil {
 		e.paths = []string{savePath}

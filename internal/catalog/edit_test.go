@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,21 +12,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/document"
+	"repro/internal/editor"
 	"repro/internal/store"
 )
 
-// editDoc inserts one "edit" element over [0, 4) through a transaction.
-func editDoc(doc *core.Document) error {
-	tx, err := doc.Edit().Begin()
-	if err != nil {
-		return err
-	}
-	if _, err := tx.InsertMarkup("edits", "edit", document.NewSpan(0, 4)); err != nil {
-		tx.Rollback()
-		return err
-	}
-	return tx.Commit()
-}
+// editOps inserts one "edit" element over [0, 4).
+var editOps = []editor.Op{{Op: "insert-markup", Hierarchy: "edits", Tag: "edit", Start: 0, End: 4}}
 
 func countEdits(doc *core.Document) int {
 	return len(doc.GODDAG().ElementsNamed("edit"))
@@ -39,7 +31,7 @@ func TestUpdatePersistsAndSurvivesReload(t *testing.T) {
 	}
 	// Edit a document whose source form is standoff XML: the commit must
 	// write standoff.gdag and repoint the entry to it.
-	if err := c.Update("standoff", editDoc); err != nil {
+	if err := c.UpdateBatch("standoff", editOps, nil); err != nil {
 		t.Fatal(err)
 	}
 	saved := filepath.Join(dir, "standoff.gdag")
@@ -97,20 +89,13 @@ func TestUpdateFailureRollsBackAndSkipsSave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantErr := fmt.Errorf("op rejected")
-	err = c.Update("ms", func(doc *core.Document) error {
-		tx, err := doc.Edit().Begin()
-		if err != nil {
-			return err
-		}
-		if _, err := tx.InsertMarkup("edits", "edit", document.NewSpan(0, 4)); err != nil {
-			return err
-		}
-		tx.Rollback()
-		return wantErr
-	})
-	if err == nil || !strings.Contains(err.Error(), "op rejected") {
-		t.Fatalf("Update error = %v", err)
+	// The second op's index is out of range: the batch vetoes after its
+	// first op applied.
+	err = c.UpdateBatch("ms", append(editOps[:1:1],
+		editor.Op{Op: "set-attr", Hierarchy: "edits", Index: 9, Name: "k", Value: "v"}), nil)
+	var be *editor.BatchError
+	if !errors.As(err, &be) || be.Index != 1 {
+		t.Fatalf("vetoed batch error = %v", err)
 	}
 	ds, _ := c.Doc("ms")
 	if ds.Dirty || ds.Edits != 0 {
@@ -139,7 +124,8 @@ func TestUpdateFailureRollsBackAndSkipsSave(t *testing.T) {
 
 func TestFailedSaveMarksDirtyAndBlocksEviction(t *testing.T) {
 	dir := writeCorpusDir(t, 60)
-	c, err := Open(dir, Options{})
+	// Without the WAL the save is the commit, so its failure is reported.
+	c, err := Open(dir, Options{DisableWAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,9 +135,9 @@ func TestFailedSaveMarksDirtyAndBlocksEviction(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(block, "x"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	err = c.Update("standoff", editDoc)
+	err = c.UpdateBatch("standoff", editOps, nil)
 	if err == nil || !strings.Contains(err.Error(), "not persisted") {
-		t.Fatalf("Update with blocked save: %v", err)
+		t.Fatalf("UpdateBatch with blocked save: %v", err)
 	}
 	ds, _ := c.Doc("standoff")
 	if !ds.Dirty {
@@ -172,7 +158,7 @@ func TestFailedSaveMarksDirtyAndBlocksEviction(t *testing.T) {
 	if err := os.RemoveAll(block); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Update("standoff", editDoc); err != nil {
+	if err := c.UpdateBatch("standoff", editOps, nil); err != nil {
 		t.Fatal(err)
 	}
 	ds, _ = c.Doc("standoff")
@@ -194,6 +180,11 @@ func TestConcurrentViewUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	doc, err := c.Get("ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cn := doc.GODDAG().Content() // markup edits leave the content alone
 	const readers, writers, rounds = 8, 2, 20
 	var wg sync.WaitGroup
 	errs := make(chan error, readers+writers)
@@ -203,21 +194,12 @@ func TestConcurrentViewUpdate(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				err := c.Update("ms", func(doc *core.Document) error {
-					tx, err := doc.Edit().Begin()
-					if err != nil {
-						return err
-					}
-					// Rune-aligned spans: the corpus vocabulary is multibyte.
-					cn := doc.GODDAG().Content()
-					lo := 4 * (w*rounds + i)
-					sp := cn.ByteSpan(document.NewSpan(lo, lo+3))
-					if _, err := tx.InsertMarkup(fmt.Sprintf("writer%d", w), "edit", sp); err != nil {
-						tx.Rollback()
-						return err
-					}
-					return tx.Commit()
-				})
+				// Rune-aligned spans: the corpus vocabulary is multibyte.
+				lo := 4 * (w*rounds + i)
+				sp := cn.ByteSpan(document.NewSpan(lo, lo+3))
+				err := c.UpdateBatch("ms", []editor.Op{{
+					Op: "insert-markup", Hierarchy: fmt.Sprintf("writer%d", w), Tag: "edit", Start: sp.Start, End: sp.End,
+				}}, nil)
 				if err != nil {
 					errs <- fmt.Errorf("writer %d round %d: %w", w, i, err)
 					return
@@ -249,7 +231,7 @@ func TestConcurrentViewUpdate(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	doc, err := c.Get("ms")
+	doc, err = c.Get("ms")
 	if err != nil {
 		t.Fatal(err)
 	}

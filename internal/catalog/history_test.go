@@ -2,12 +2,12 @@ package catalog
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -159,7 +159,6 @@ func runHistory(t *testing.T, data []byte) {
 			pre := m.state()
 			var post []byte
 			var err error
-			move := false
 			inj.SetHook(nthFault(k, torn))
 			switch in.next() % 3 {
 			case 0:
@@ -173,11 +172,9 @@ func runHistory(t *testing.T, data []byte) {
 			case 1:
 				post = m.target(-1)
 				err = historyMove(c, -1)
-				move = true
 			default:
 				post = m.target(1)
 				err = historyMove(c, 1)
-				move = true
 			}
 			if post == nil {
 				post = pre
@@ -185,17 +182,10 @@ func runHistory(t *testing.T, data []byte) {
 			// Crash: drop the catalog and reopen on a healthy disk.
 			c, inj = open()
 			got := catalogImage(t, c)
-			same := bytes.Equal
-			if move {
-				// A history move is logged as a v2 snapshot, whose replay
-				// keeps the elements but not the nesting order of equal
-				// spans or the leaf cuts.
-				same = func(a, b []byte) bool { return sameElements(t, a, b) }
-			}
 			switch {
-			case err == nil && !same(got, post):
+			case err == nil && !bytes.Equal(got, post):
 				t.Fatalf("step %d: acknowledged change lost at a crash on call %d (torn=%d)", step, k, torn)
-			case !same(got, post) && !same(got, pre):
+			case !bytes.Equal(got, post) && !bytes.Equal(got, pre):
 				t.Fatalf("step %d: unacknowledged change (%v) recovered partially at a crash on call %d", step, err, k)
 			}
 			m.reset(got)
@@ -221,12 +211,10 @@ func runHistory(t *testing.T, data []byte) {
 
 // historyMove undoes (dir -1) or redoes (+1) the catalog's last move.
 func historyMove(c *Catalog, dir int) error {
-	return c.Update("doc", func(doc *core.Document) error {
-		if dir < 0 {
-			return doc.Edit().Undo()
-		}
-		return doc.Edit().Redo()
-	})
+	if dir < 0 {
+		return c.Undo(context.Background(), "doc", nil)
+	}
+	return c.Redo(context.Background(), "doc", nil)
 }
 
 // nthFault fails the k-th filesystem call — tearing it when it is a
@@ -400,22 +388,4 @@ func TestLegacyV2SnapshotRecordReplays(t *testing.T) {
 	if fi, err := os.Stat(filepath.Join(dir, "plain.wal")); err != nil || fi.Size() != store.WALHeaderLen {
 		t.Fatalf("log not reset after converging: %v %v", fi, err)
 	}
-}
-
-
-// sameElements reports whether two images hold the same content and the
-// same multiset of elements (hierarchy, tag, span, attributes).
-func sameElements(t *testing.T, a, b []byte) bool {
-	elems := func(img []byte) string {
-		doc := decodeImage(t, img)
-		var out []string
-		for _, name := range doc.HierarchyNames() {
-			for _, el := range doc.Hierarchy(name).Elements() {
-				out = append(out, fmt.Sprintf("%s %v", el, el.Attrs()))
-			}
-		}
-		sort.Strings(out)
-		return doc.Content().String() + "\n" + strings.Join(out, "\n")
-	}
-	return elems(a) == elems(b)
 }

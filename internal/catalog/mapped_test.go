@@ -7,9 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/document"
+	"repro/internal/editor"
 	"repro/internal/faultfs"
 	"repro/internal/goddag"
 	"repro/internal/store"
@@ -109,12 +108,7 @@ func TestMappedEditPromotesAndStaysV3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.Update("doc0", func(doc *core.Document) error {
-		g := doc.GODDAG()
-		_, err := g.InsertElement(g.Hierarchies()[0], "patch", nil, spanAll(g))
-		return err
-	})
-	if err != nil {
+	if err := c.UpdateBatch("doc0", patchAll(t, c, "doc0"), nil); err != nil {
 		t.Fatal(err)
 	}
 	ds, _ := c.Doc("doc0")
@@ -164,12 +158,7 @@ func TestV2FileFallsBackAndMigratesOnSave(t *testing.T) {
 	if fb != 1 {
 		t.Fatalf("v2 fallback counter = %d, want 1", fb)
 	}
-	err = c.Update("doc0", func(doc *core.Document) error {
-		g := doc.GODDAG()
-		_, err := g.InsertElement(g.Hierarchies()[0], "patch", nil, spanAll(g))
-		return err
-	})
-	if err != nil {
+	if err := c.UpdateBatch("doc0", patchAll(t, c, "doc0"), nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "doc0.gdag"))
@@ -259,6 +248,14 @@ func TestMappedResidencyUnderBudget(t *testing.T) {
 	}
 }
 
-func spanAll(g *goddag.Document) document.Span {
-	return document.NewSpan(0, g.Content().Len())
+// patchAll is an op batch inserting a <patch> over the whole content of
+// id's first hierarchy.
+func patchAll(t *testing.T, c *Catalog, id string) []editor.Op {
+	t.Helper()
+	doc, err := c.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := doc.GODDAG()
+	return []editor.Op{{Op: "insert-markup", Hierarchy: g.HierarchyNames()[0], Tag: "patch", Start: 0, End: g.Content().Len()}}
 }

@@ -14,7 +14,7 @@ import (
 type catMetrics struct {
 	coldLoad     *obs.Histogram // successful cold loads: parse + WAL replay + warm
 	lockRead     *obs.Histogram // read-lock wait (ViewContext)
-	lockWrite    *obs.Histogram // write-lock wait (UpdateContext/UpdateBatchContext)
+	lockWrite    *obs.Histogram // write-lock wait (UpdateBatchContext, Undo, Redo)
 	walAppend    *obs.Histogram // WAL append incl. fsync (the commit point)
 	save         *obs.Histogram // store save, per attempt
 	openMapped   *obs.Histogram // mapped .gdag opens: stat + mmap + header validation

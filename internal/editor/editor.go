@@ -8,12 +8,21 @@
 // hierarchy), an undo/redo history, and change notifications for
 // presentation layers.
 //
+// The history is a stack of v3 images (store.MarshalV3): a session
+// caches the image of its current state, encoding it on first need
+// after a mutation, and a committed edit pushes the image of the state
+// it replaced. Undo, redo and a transaction rollback restore a state by
+// opening its image (store.OpenMappedBytes), which yields a new
+// document value, materialized lazily; elements held from before no
+// longer belong to the session's document.
+//
 // Edits can be batched in transactions (Begin/Commit/Rollback): each
 // operation is prevalidated as it is issued, but the batch commits — or
-// is vetoed — atomically, costs one undo entry and one change
-// notification, and snapshots the document only once however many
-// operations it carries. The HTTP edit endpoint (internal/server)
-// applies each request body as one transaction.
+// is vetoed — atomically and costs one undo entry and one change
+// notification however many operations it carries. Begin is O(1) while
+// the current image is cached, as it is after a save. The HTTP edit
+// endpoint (internal/server) applies each request body as one
+// transaction.
 package editor
 
 import (
@@ -24,6 +33,7 @@ import (
 	"repro/internal/document"
 	"repro/internal/dtd"
 	"repro/internal/goddag"
+	"repro/internal/store"
 	"repro/internal/validate"
 )
 
@@ -105,8 +115,12 @@ type Session struct {
 	schema *validate.Schema
 	opts   Options
 
-	undo      []*goddag.Document // snapshots before each applied op/transaction
-	redo      []*goddag.Document
+	// image caches the v3 image of doc; nil after a mutation until Image
+	// encodes it again. undo and redo hold the images of the states
+	// before each committed edit and of the states undone.
+	image     []byte
+	undo      [][]byte
+	redo      [][]byte
 	listeners []func(Change)
 	tx        *Tx // open transaction, nil otherwise
 }
@@ -123,22 +137,52 @@ func NewSession(doc *goddag.Document, schema *validate.Schema, opts Options) *Se
 }
 
 // Document returns the live document. Mutating it directly bypasses
-// history and prevalidation.
+// history, prevalidation and the cached image.
 func (s *Session) Document() *goddag.Document { return s.doc }
 
-// HistoryFootprint estimates the heap bytes held by the undo/redo
-// snapshot stacks (goddag.Footprint per snapshot). Serving layers add
-// it to the live document's footprint when budgeting resident memory —
-// an actively edited document holds up to HistoryLimit full snapshots.
+// Image returns the v3 image of the current document, encoding it on
+// first need after a mutation. The bytes are shared with the session's
+// history and must not be modified.
+func (s *Session) Image() ([]byte, error) {
+	if s.image == nil {
+		img, err := store.MarshalV3(s.doc)
+		if err != nil {
+			return nil, err
+		}
+		s.image = img
+	}
+	return s.image, nil
+}
+
+// restore makes the state img encodes the session's document: a new
+// document value over the image bytes, with the incremental-repair
+// setting carried over.
+func (s *Session) restore(img []byte) error {
+	m, err := store.OpenMappedBytes(img)
+	if err != nil {
+		return err
+	}
+	doc, err := m.Document()
+	if err != nil {
+		return err
+	}
+	doc.SetIncrementalRepair(s.doc.IncrementalRepair())
+	s.doc, s.image = doc, img
+	return nil
+}
+
+// HistoryFootprint is the bytes of the images the session holds: the
+// undo and redo stacks and the cached current image. Serving layers add
+// it to the live document's footprint when budgeting resident memory.
 func (s *Session) HistoryFootprint() int64 {
-	var f int64
-	for _, d := range s.undo {
-		f += d.Footprint()
+	n := len(s.image)
+	for _, img := range s.undo {
+		n += len(img)
 	}
-	for _, d := range s.redo {
-		f += d.Footprint()
+	for _, img := range s.redo {
+		n += len(img)
 	}
-	return f
+	return int64(n)
 }
 
 // SetPrevalidate toggles the prevalidation veto for subsequent markup
@@ -161,11 +205,12 @@ func (s *Session) notify(c Change) {
 	}
 }
 
-// checkpoint pushes an undo snapshot and clears the redo stack.
-func (s *Session) checkpoint() {
-	s.undo = append(s.undo, s.doc.Clone())
+// push records pre, the image of the state a committed edit replaced, as
+// the newest undo entry and clears the redo stack.
+func (s *Session) push(pre []byte) {
+	s.undo = append(s.undo, pre)
 	if len(s.undo) > s.opts.HistoryLimit {
-		s.undo = s.undo[1:]
+		s.undo = append(s.undo[:0], s.undo[1:]...)
 	}
 	s.redo = nil
 }
@@ -187,79 +232,91 @@ func (s *Session) mutable() error {
 
 // Undo reverts the most recent edit or committed transaction.
 func (s *Session) Undo() error {
-	if err := s.mutable(); err != nil {
-		return err
-	}
-	if len(s.undo) == 0 {
-		return ErrNothingToUndo
-	}
-	s.redo = append(s.redo, s.doc)
-	s.doc = s.undo[len(s.undo)-1]
-	s.undo = s.undo[:len(s.undo)-1]
-	s.notify(Change{Kind: ChangeUndo})
-	return nil
+	return s.move(&s.undo, &s.redo, Change{Kind: ChangeUndo}, ErrNothingToUndo)
 }
 
 // Redo re-applies the most recently undone edit.
 func (s *Session) Redo() error {
+	return s.move(&s.redo, &s.undo, Change{Kind: ChangeRedo}, ErrNothingToRedo)
+}
+
+// move restores the newest image on from and pushes the image of the
+// state it replaces onto to.
+func (s *Session) move(from, to *[][]byte, c Change, empty error) error {
 	if err := s.mutable(); err != nil {
 		return err
 	}
-	if len(s.redo) == 0 {
-		return ErrNothingToRedo
+	if len(*from) == 0 {
+		return empty
 	}
-	s.undo = append(s.undo, s.doc)
-	s.doc = s.redo[len(s.redo)-1]
-	s.redo = s.redo[:len(s.redo)-1]
-	s.notify(Change{Kind: ChangeRedo})
+	cur, err := s.Image()
+	if err != nil {
+		return err
+	}
+	if err := s.restore((*from)[len(*from)-1]); err != nil {
+		return err
+	}
+	*from = (*from)[:len(*from)-1]
+	*to = append(*to, cur)
+	s.notify(c)
+	return nil
+}
+
+// edit runs one direct session edit: apply mutates the document, and
+// leaves it unchanged when it fails. A successful edit pushes the
+// pre-state image as one undo entry and notifies its change.
+func (s *Session) edit(apply func() (Change, error)) error {
+	if err := s.mutable(); err != nil {
+		return err
+	}
+	pre, err := s.Image()
+	if err != nil {
+		return err
+	}
+	c, err := apply()
+	s.image = nil
+	if err != nil {
+		return err
+	}
+	s.push(pre)
+	s.notify(c)
 	return nil
 }
 
 // applyInsertMarkup is the shared core of InsertMarkup and Tx.InsertMarkup:
-// prevalidation plus insertion, without history or notification. Failed
-// insertions mutate nothing (InsertElement is atomic on error; a
-// just-created empty hierarchy is unwound here).
-func (s *Session) applyInsertMarkup(hierarchy, tag string, span document.Span, attrs []goddag.Attr) (*goddag.Element, error) {
+// prevalidation plus insertion, storing the new element in *el, without
+// history or notification. Failed insertions mutate nothing
+// (InsertElement is atomic on error; a just-created empty hierarchy is
+// unwound here).
+func (s *Session) applyInsertMarkup(el **goddag.Element, hierarchy, tag string, span document.Span, attrs []goddag.Attr) (Change, error) {
 	h := s.doc.Hierarchy(hierarchy)
 	created := false
 	if h == nil {
 		h = s.doc.AddHierarchy(hierarchy)
 		created = true
 	}
-	fail := func(err error) (*goddag.Element, error) {
-		if created {
-			s.doc.RemoveHierarchy(hierarchy)
-		}
-		return nil, err
-	}
+	var err error
 	if s.opts.Prevalidate {
-		if err := validate.CheckInsertion(s.doc, h, s.schema.DTD(hierarchy), tag, span); err != nil {
-			return fail(fmt.Errorf("editor: prevalidation rejected <%s>%v in %s: %w", tag, span, hierarchy, err))
+		if err = validate.CheckInsertion(s.doc, h, s.schema.DTD(hierarchy), tag, span); err != nil {
+			err = fmt.Errorf("editor: prevalidation rejected <%s>%v in %s: %w", tag, span, hierarchy, err)
 		}
 	}
-	el, err := s.doc.InsertElement(h, tag, attrs, span)
-	if err != nil {
-		return fail(err)
+	if err == nil {
+		*el, err = s.doc.InsertElement(h, tag, attrs, span)
 	}
-	return el, nil
+	if err != nil && created {
+		s.doc.RemoveHierarchy(hierarchy)
+	}
+	return Change{Kind: ChangeInsertMarkup, Hierarchy: hierarchy, Tag: tag, Span: span}, err
 }
 
 // InsertMarkup inserts an element over span into the named hierarchy,
 // after prevalidation when enabled. The hierarchy is created on first
 // use. It returns the inserted element. Failed insertions leave the
 // session exactly as it was.
-func (s *Session) InsertMarkup(hierarchy, tag string, span document.Span, attrs ...goddag.Attr) (*goddag.Element, error) {
-	if err := s.mutable(); err != nil {
-		return nil, err
-	}
-	s.checkpoint()
-	el, err := s.applyInsertMarkup(hierarchy, tag, span, attrs)
-	if err != nil {
-		s.undo = s.undo[:len(s.undo)-1]
-		return nil, err
-	}
-	s.notify(Change{Kind: ChangeInsertMarkup, Hierarchy: hierarchy, Tag: tag, Span: span})
-	return el, nil
+func (s *Session) InsertMarkup(hierarchy, tag string, span document.Span, attrs ...goddag.Attr) (el *goddag.Element, err error) {
+	err = s.edit(func() (Change, error) { return s.applyInsertMarkup(&el, hierarchy, tag, span, attrs) })
+	return el, err
 }
 
 // applyRemoveMarkup is the shared core of RemoveMarkup and Tx.RemoveMarkup.
@@ -277,24 +334,14 @@ func (s *Session) applyRemoveMarkup(el *goddag.Element) (Change, error) {
 // RemoveMarkup deletes an element; its children are adopted by its
 // parent.
 func (s *Session) RemoveMarkup(el *goddag.Element) error {
-	if err := s.mutable(); err != nil {
-		return err
-	}
-	s.checkpoint()
-	c, err := s.applyRemoveMarkup(el)
-	if err != nil {
-		s.undo = s.undo[:len(s.undo)-1]
-		return err
-	}
-	s.notify(c)
-	return nil
+	return s.edit(func() (Change, error) { return s.applyRemoveMarkup(el) })
 }
 
 // applySetAttr is the shared core of SetAttr and Tx.SetAttr: DTD
 // attribute validation plus the edit.
-func (s *Session) applySetAttr(el *goddag.Element, name, value string) error {
+func (s *Session) applySetAttr(el *goddag.Element, name, value string) (Change, error) {
 	if el == nil {
-		return fmt.Errorf("editor: nil element")
+		return Change{}, fmt.Errorf("editor: nil element")
 	}
 	if d := s.schema.DTD(el.Hierarchy().Name()); d != nil {
 		if decl := d.Element(el.Name()); decl != nil {
@@ -308,86 +355,60 @@ func (s *Session) applySetAttr(el *goddag.Element, name, value string) error {
 						}
 					}
 					if !ok {
-						return fmt.Errorf("editor: %s=%q not in enumeration for <%s>", name, value, el.Name())
+						return Change{}, fmt.Errorf("editor: %s=%q not in enumeration for <%s>", name, value, el.Name())
 					}
 				}
 				if def.Default == dtd.DefaultFixed && value != def.Value {
-					return fmt.Errorf("editor: %s must be fixed %q on <%s>", name, def.Value, el.Name())
+					return Change{}, fmt.Errorf("editor: %s must be fixed %q on <%s>", name, def.Value, el.Name())
 				}
 			}
 		}
 	}
 	el.SetAttr(name, value)
-	return nil
+	return Change{Kind: ChangeSetAttr, Hierarchy: el.Hierarchy().Name(), Tag: el.Name(), Detail: name + "=" + value}, nil
 }
 
 // SetAttr sets an attribute, validating enumerated/fixed values against
 // the DTD when the session has one for the element's hierarchy.
 func (s *Session) SetAttr(el *goddag.Element, name, value string) error {
-	if err := s.mutable(); err != nil {
-		return err
-	}
-	s.checkpoint()
-	if err := s.applySetAttr(el, name, value); err != nil {
-		s.undo = s.undo[:len(s.undo)-1]
-		return err
-	}
-	s.notify(Change{Kind: ChangeSetAttr, Hierarchy: el.Hierarchy().Name(), Tag: el.Name(), Detail: name + "=" + value})
-	return nil
+	return s.edit(func() (Change, error) { return s.applySetAttr(el, name, value) })
 }
 
 // applyRemoveAttr is the shared core of RemoveAttr and Tx.RemoveAttr.
-func (s *Session) applyRemoveAttr(el *goddag.Element, name string) error {
+func (s *Session) applyRemoveAttr(el *goddag.Element, name string) (Change, error) {
 	if el == nil {
-		return fmt.Errorf("editor: nil element")
+		return Change{}, fmt.Errorf("editor: nil element")
 	}
 	if !el.RemoveAttr(name) {
-		return fmt.Errorf("editor: no attribute %q on %v", name, el)
+		return Change{}, fmt.Errorf("editor: no attribute %q on %v", name, el)
 	}
-	return nil
+	return Change{Kind: ChangeRemoveAttr, Hierarchy: el.Hierarchy().Name(), Tag: el.Name(), Detail: name}, nil
 }
 
 // RemoveAttr deletes an attribute.
 func (s *Session) RemoveAttr(el *goddag.Element, name string) error {
-	if err := s.mutable(); err != nil {
-		return err
-	}
-	s.checkpoint()
-	if err := s.applyRemoveAttr(el, name); err != nil {
-		s.undo = s.undo[:len(s.undo)-1]
-		return err
-	}
-	s.notify(Change{Kind: ChangeRemoveAttr, Hierarchy: el.Hierarchy().Name(), Tag: el.Name(), Detail: name})
-	return nil
+	return s.edit(func() (Change, error) { return s.applyRemoveAttr(el, name) })
+}
+
+// applyInsertText is the shared core of InsertText and Tx.InsertText.
+func (s *Session) applyInsertText(pos int, text string) (Change, error) {
+	return Change{Kind: ChangeInsertText, Span: document.NewSpan(pos, pos+len(text))}, s.doc.InsertText(pos, text)
+}
+
+// applyDeleteText is the shared core of DeleteText and Tx.DeleteText.
+func (s *Session) applyDeleteText(span document.Span) (Change, error) {
+	return Change{Kind: ChangeDeleteText, Span: span}, s.doc.DeleteText(span)
 }
 
 // InsertText inserts text at a byte offset, adjusting all markup.
 func (s *Session) InsertText(pos int, text string) error {
-	if err := s.mutable(); err != nil {
-		return err
-	}
-	s.checkpoint()
-	if err := s.doc.InsertText(pos, text); err != nil {
-		s.undo = s.undo[:len(s.undo)-1]
-		return err
-	}
-	s.notify(Change{Kind: ChangeInsertText, Span: document.NewSpan(pos, pos+len(text))})
-	return nil
+	return s.edit(func() (Change, error) { return s.applyInsertText(pos, text) })
 }
 
 // DeleteText removes a span of text, adjusting all markup; elements whose
 // content is entirely deleted remain as empty milestones.
 func (s *Session) DeleteText(span document.Span) error {
-	if err := s.mutable(); err != nil {
-		return err
-	}
-	s.checkpoint()
-	if err := s.doc.DeleteText(span); err != nil {
-		s.undo = s.undo[:len(s.undo)-1]
-		return err
-	}
-	s.notify(Change{Kind: ChangeDeleteText, Span: span})
-	return nil
+	return s.edit(func() (Change, error) { return s.applyDeleteText(span) })
 }
 
 // Validate runs the schema over every hierarchy in the given mode.
@@ -401,20 +422,22 @@ func (s *Session) Validate(mode validate.Mode) []validate.Violation {
 // atomically. A committed transaction collapses to ONE undo entry and
 // ONE change notification however many operations it batched; a failed
 // operation poisons the transaction, and Commit (or Rollback) then
-// restores the document to its pre-transaction state.
+// restores the document to its pre-transaction state from the image
+// Begin took.
 //
 // One transaction may be open per session at a time; direct session
 // edits and history moves are rejected while it is open. Elements
 // obtained before Begin remain valid inside the transaction (operations
 // mutate the live document); after a Rollback — or an Undo of the
-// committed transaction — the session's document is the restored
-// snapshot and previously held elements no longer belong to it.
+// committed transaction — the session's document is a new value
+// restored from an image and previously held elements no longer belong
+// to it.
 type Tx struct {
-	s        *Session
-	snapshot *goddag.Document
-	ops      []Change
-	err      error
-	done     bool
+	s    *Session
+	pre  []byte // image of the pre-transaction state
+	ops  []Change
+	err  error
+	done bool
 }
 
 // Begin opens a transaction. It fails if one is already open.
@@ -422,9 +445,12 @@ func (s *Session) Begin() (*Tx, error) {
 	if s.tx != nil {
 		return nil, fmt.Errorf("editor: a transaction is already open")
 	}
-	tx := &Tx{s: s, snapshot: s.doc.Clone()}
-	s.tx = tx
-	return tx, nil
+	pre, err := s.Image()
+	if err != nil {
+		return nil, err
+	}
+	s.tx = &Tx{s: s, pre: pre}
+	return s.tx, nil
 }
 
 // InTx reports whether the session has an open transaction.
@@ -438,123 +464,88 @@ func (tx *Tx) Err() error { return tx.err }
 // operation.
 func (tx *Tx) Ops() []Change { return tx.ops }
 
-// guard rejects operations on closed or poisoned transactions.
-func (tx *Tx) guard() error {
+// apply runs one operation of the transaction: a closed or poisoned
+// transaction rejects it, and a failure poisons the transaction.
+func (tx *Tx) apply(op func() (Change, error)) error {
 	if tx.done {
 		return fmt.Errorf("editor: transaction already closed")
 	}
 	if tx.err != nil {
 		return fmt.Errorf("editor: transaction aborted: %w", tx.err)
 	}
-	return nil
-}
-
-// fail poisons the transaction with the first operation error.
-func (tx *Tx) fail(err error) error {
-	tx.err = err
-	return err
-}
-
-// InsertMarkup inserts an element within the transaction, prevalidated
-// like Session.InsertMarkup. A failure poisons the transaction.
-func (tx *Tx) InsertMarkup(hierarchy, tag string, span document.Span, attrs ...goddag.Attr) (*goddag.Element, error) {
-	if err := tx.guard(); err != nil {
-		return nil, err
-	}
-	el, err := tx.s.applyInsertMarkup(hierarchy, tag, span, attrs)
+	c, err := op()
+	tx.s.image = nil
 	if err != nil {
-		return nil, tx.fail(err)
-	}
-	tx.ops = append(tx.ops, Change{Kind: ChangeInsertMarkup, Hierarchy: hierarchy, Tag: tag, Span: span})
-	return el, nil
-}
-
-// RemoveMarkup deletes an element within the transaction.
-func (tx *Tx) RemoveMarkup(el *goddag.Element) error {
-	if err := tx.guard(); err != nil {
+		tx.err = err
 		return err
-	}
-	c, err := tx.s.applyRemoveMarkup(el)
-	if err != nil {
-		return tx.fail(err)
 	}
 	tx.ops = append(tx.ops, c)
 	return nil
 }
 
+// InsertMarkup inserts an element within the transaction, prevalidated
+// like Session.InsertMarkup. A failure poisons the transaction.
+func (tx *Tx) InsertMarkup(hierarchy, tag string, span document.Span, attrs ...goddag.Attr) (el *goddag.Element, err error) {
+	err = tx.apply(func() (Change, error) { return tx.s.applyInsertMarkup(&el, hierarchy, tag, span, attrs) })
+	return el, err
+}
+
+// RemoveMarkup deletes an element within the transaction.
+func (tx *Tx) RemoveMarkup(el *goddag.Element) error {
+	return tx.apply(func() (Change, error) { return tx.s.applyRemoveMarkup(el) })
+}
+
 // SetAttr sets an attribute within the transaction, validated against
 // the hierarchy's DTD like Session.SetAttr.
 func (tx *Tx) SetAttr(el *goddag.Element, name, value string) error {
-	if err := tx.guard(); err != nil {
-		return err
-	}
-	if err := tx.s.applySetAttr(el, name, value); err != nil {
-		return tx.fail(err)
-	}
-	tx.ops = append(tx.ops, Change{Kind: ChangeSetAttr, Hierarchy: el.Hierarchy().Name(), Tag: el.Name(), Detail: name + "=" + value})
-	return nil
+	return tx.apply(func() (Change, error) { return tx.s.applySetAttr(el, name, value) })
 }
 
 // RemoveAttr deletes an attribute within the transaction.
 func (tx *Tx) RemoveAttr(el *goddag.Element, name string) error {
-	if err := tx.guard(); err != nil {
-		return err
-	}
-	if err := tx.s.applyRemoveAttr(el, name); err != nil {
-		return tx.fail(err)
-	}
-	tx.ops = append(tx.ops, Change{Kind: ChangeRemoveAttr, Hierarchy: el.Hierarchy().Name(), Tag: el.Name(), Detail: name})
-	return nil
+	return tx.apply(func() (Change, error) { return tx.s.applyRemoveAttr(el, name) })
 }
 
 // InsertText inserts text within the transaction.
 func (tx *Tx) InsertText(pos int, text string) error {
-	if err := tx.guard(); err != nil {
-		return err
-	}
-	if err := tx.s.doc.InsertText(pos, text); err != nil {
-		return tx.fail(err)
-	}
-	tx.ops = append(tx.ops, Change{Kind: ChangeInsertText, Span: document.NewSpan(pos, pos+len(text))})
-	return nil
+	return tx.apply(func() (Change, error) { return tx.s.applyInsertText(pos, text) })
 }
 
 // DeleteText removes a span of text within the transaction.
 func (tx *Tx) DeleteText(span document.Span) error {
-	if err := tx.guard(); err != nil {
-		return err
-	}
-	if err := tx.s.doc.DeleteText(span); err != nil {
-		return tx.fail(err)
-	}
-	tx.ops = append(tx.ops, Change{Kind: ChangeDeleteText, Span: span})
-	return nil
+	return tx.apply(func() (Change, error) { return tx.s.applyDeleteText(span) })
 }
 
-// Commit closes the transaction. A clean transaction with at least one
-// operation pushes one undo entry (the pre-transaction snapshot), clears
-// the redo stack, and emits one ChangeTransaction notification. A
-// poisoned transaction rolls the document back to the snapshot and
-// returns the poisoning error. An empty transaction is a no-op.
-func (tx *Tx) Commit() error {
+// close ends the transaction, failing if it already ended.
+func (tx *Tx) close() error {
 	if tx.done {
 		return fmt.Errorf("editor: transaction already closed")
 	}
 	tx.done = true
+	tx.s.tx = nil
+	return nil
+}
+
+// Commit closes the transaction. A clean transaction with at least one
+// operation pushes one undo entry (the pre-transaction image), clears
+// the redo stack, and emits one ChangeTransaction notification. A
+// poisoned transaction restores the pre-transaction state and returns
+// the poisoning error. An empty transaction is a no-op.
+func (tx *Tx) Commit() error {
+	if err := tx.close(); err != nil {
+		return err
+	}
 	s := tx.s
-	s.tx = nil
 	if tx.err != nil {
-		s.doc = tx.snapshot
+		if err := s.restore(tx.pre); err != nil {
+			return err
+		}
 		return fmt.Errorf("editor: transaction rolled back: %w", tx.err)
 	}
 	if len(tx.ops) == 0 {
 		return nil
 	}
-	s.undo = append(s.undo, tx.snapshot)
-	if len(s.undo) > s.opts.HistoryLimit {
-		s.undo = s.undo[1:]
-	}
-	s.redo = nil
+	s.push(tx.pre)
 	s.notify(Change{Kind: ChangeTransaction, Detail: fmt.Sprintf("%d ops", len(tx.ops))})
 	return nil
 }
@@ -562,13 +553,10 @@ func (tx *Tx) Commit() error {
 // Rollback closes the transaction and restores the document to its
 // pre-transaction state, whether or not any operation failed.
 func (tx *Tx) Rollback() error {
-	if tx.done {
-		return fmt.Errorf("editor: transaction already closed")
+	if err := tx.close(); err != nil {
+		return err
 	}
-	tx.done = true
-	tx.s.tx = nil
-	tx.s.doc = tx.snapshot
-	return nil
+	return tx.s.restore(tx.pre)
 }
 
 // SelectWord returns the byte span of the whitespace-delimited word

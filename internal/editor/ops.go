@@ -66,7 +66,9 @@ func (s *Session) ApplyBatch(ops []Op) error {
 	}
 	for i, op := range ops {
 		if err := tx.ApplyOp(op); err != nil {
-			tx.Rollback()
+			if rerr := tx.Rollback(); rerr != nil {
+				return rerr
+			}
 			return &BatchError{Index: i, Op: op.Op, Err: err}
 		}
 	}

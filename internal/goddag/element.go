@@ -861,43 +861,6 @@ func (d *Document) Check() error {
 	return nil
 }
 
-// Clone returns a deep copy of the document. The copy starts with cold
-// derived indexes and inherits the incremental-repair setting. A clone
-// of a view-backed document shares tag/attribute strings with the
-// mapped backing and therefore inherits its keepalive.
-func (d *Document) Clone() *Document {
-	d.ensure()
-	nd := New(d.rootTag, d.content.String())
-	nd.seq = d.seq
-	nd.noRepair = d.noRepair
-	nd.keepalive = d.keepalive
-	// Re-cut boundaries.
-	for _, b := range d.part.Boundaries() {
-		nd.part.Cut(b)
-	}
-	for _, name := range d.order {
-		h := d.hiers[name]
-		nh := nd.AddHierarchy(name)
-		var copyTree func(es []*Element, parent *Element) []*Element
-		copyTree = func(es []*Element, parent *Element) []*Element {
-			out := make([]*Element, 0, len(es))
-			for _, e := range es {
-				ne := &Element{
-					doc: nd, hier: nh, name: e.name,
-					attrs: append([]Attr(nil), e.attrs...),
-					span:  e.span, parent: parent, seq: e.seq,
-				}
-				ne.children = copyTree(e.children, ne)
-				out = append(out, ne)
-			}
-			return out
-		}
-		nh.top = copyTree(h.top, nil)
-		nh.n = h.n
-	}
-	return nd
-}
-
 // Stats summarizes a document for display and benchmarking.
 type Stats struct {
 	ContentLen  int

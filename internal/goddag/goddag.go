@@ -137,15 +137,14 @@ type Document struct {
 	// derived indexes build from its columnar image on first touch
 	// (viewPending flips false), and the first mutation promotes the
 	// index arrays off the read-only backing (viewAliased/viewPromoted).
-	// keepalive pins the backing mapping for the document's lifetime and
-	// is inherited by clones, whose strings alias it.
+	// The view, held for the document's lifetime, pins the backing
+	// mapping through its Keep.
 	view          *DocView
 	viewPending   atomic.Bool
 	viewErr       error
 	viewAliased   bool
 	viewPromoted  atomic.Bool
 	residentBytes atomic.Int64
-	keepalive     any
 }
 
 // bump invalidates derived caches after a structural mutation that moves

@@ -567,23 +567,6 @@ func TestNodesEqualAndID(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	d := fig1Doc(t)
-	c := d.Clone()
-	if err := c.Check(); err != nil {
-		t.Fatalf("clone check: %v", err)
-	}
-	if c.Stats() != d.Stats() {
-		t.Errorf("clone stats %+v != %+v", c.Stats(), d.Stats())
-	}
-	// Mutating the clone must not affect the original.
-	h := c.Hierarchy("words")
-	c.RemoveElement(h.Elements()[0])
-	if d.Hierarchy("words").Len() != 6 {
-		t.Error("clone mutation leaked")
-	}
-}
-
 func TestInsertText(t *testing.T) {
 	d := New("r", "hello world")
 	h := d.AddHierarchy("h")

@@ -40,11 +40,8 @@ func rebuildSpanIndex(els []*Element, old *spanIndex) *spanIndex {
 		return ix
 	}
 	if n := 4 * len(els); cap(ix.maxEnd) >= n {
-		// Zero the reused slots: build leaves the tree's unused slots
-		// alone, and stale values there would make the exported v3 image
-		// depend on the edit history instead of the document alone.
 		ix.maxEnd = ix.maxEnd[:n]
-		clear(ix.maxEnd)
+		clear(ix.maxEnd) // build skips unused slots; stale ones would reach the v3 image
 	} else {
 		// Headroom beyond 4n so a run of insertions reallocates rarely.
 		ix.maxEnd = make([]int, n, n+n/2)

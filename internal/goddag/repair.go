@@ -49,6 +49,9 @@ import (
 // benchmarking.
 func (d *Document) SetIncrementalRepair(on bool) { d.noRepair = !on }
 
+// IncrementalRepair reports whether in-place index repair is on.
+func (d *Document) IncrementalRepair() bool { return !d.noRepair }
+
 // cutSpanBorders establishes leaf boundaries at the span borders. It
 // returns the index — in the pre-cut leaf numbering — of the first leaf
 // whose span changed, or -1 when both borders were already boundaries.

@@ -9,21 +9,29 @@ import (
 	"repro/internal/document"
 )
 
-// elemKey identifies an element across document copies: Clone preserves
-// hierarchy, tag, span, and insertion sequence.
+// elemKey identifies an element across document copies by hierarchy,
+// tag, span and attributes. Copies renumber insertion sequences, so the
+// order of equal spans is checked by position, not by key.
 func elemKey(e *Element) string {
-	return fmt.Sprintf("%s:%s%v#%d", e.hier.name, e.name, e.span, e.seq)
+	return fmt.Sprintf("%s:%s%v%v", e.hier.name, e.name, e.span, e.attrs)
 }
 
 // assertIndexesEqualRebuild holds every live derived index of d — which
 // may have been repaired in place any number of times — against a
-// from-scratch rebuild on a cold clone.
+// from-scratch rebuild on a copy: d's structure through its columnar
+// image, with every index the image carries discarded.
 func assertIndexesEqualRebuild(t *testing.T, d *Document) {
 	t.Helper()
 	if err := d.Check(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
-	ref := d.Clone()
+	cols := d.ExportColumns()
+	ref := FromView(&DocView{
+		RootTag: d.RootTag(), Content: d.Content().String(), HierNames: d.HierarchyNames(),
+		Materialize: func() (*Columns, error) { return cols, nil },
+	})
+	ref.ensure()
+	ref.bump() // stale every materialized index: Warm rebuilds them all
 	ref.Warm()
 
 	els, rels := d.Elements(), ref.Elements()

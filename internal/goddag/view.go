@@ -81,8 +81,7 @@ type DocView struct {
 	// access.
 	Materialize func() (*Columns, error)
 	// Keep pins the image's backing store (the file mapping) for as long
-	// as any document derived from the view — including editor clones,
-	// whose strings alias the mapping — remains reachable.
+	// as the document, whose strings alias it, remains reachable.
 	Keep any
 }
 
@@ -94,7 +93,6 @@ func FromView(v *DocView) *Document {
 		d.AddHierarchy(name)
 	}
 	d.view = v
-	d.keepalive = v.Keep
 	d.residentBytes.Store(int64(512 + len(v.RootTag)))
 	d.viewPending.Store(true)
 	return d
@@ -458,9 +456,7 @@ func (d *Document) ExportColumns() *Columns {
 	}
 	tags := make([]string, 0, len(nameIdx))
 	for t, es := range nameIdx {
-		// Repair can leave a tag's bucket empty; a rebuilt index has no
-		// such bucket, and the image must not depend on which one ran.
-		if len(es) > 0 {
+		if len(es) > 0 { // repair can leave a bucket empty; a rebuild drops it
 			tags = append(tags, t)
 		}
 	}

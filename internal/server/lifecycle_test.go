@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // expensiveQuery is quadratic in //w: every word re-materializes its
@@ -138,6 +140,50 @@ func TestClientDisconnectCancelsEvaluation(t *testing.T) {
 	}
 	if srv.cancelled.Value() == 0 {
 		t.Error("cancelled counter not incremented")
+	}
+	if w.Body.Len() != 0 {
+		t.Errorf("499 carries a body: %q", w.Body.String())
+	}
+}
+
+// TestCancelledRequestsWriteNoBody: a request whose client is gone
+// while it waits — for a cold load, or for the write lock behind a
+// reader — is counted as cancelled and answered 499 with no body, on
+// the query, edit, undo and redo routes alike.
+func TestCancelledRequestsWriteNoBody(t *testing.T) {
+	srv, _ := newFixture(t, 2000, Config{})
+	h := srv.Handler()
+	warm(t, srv, "ms")
+	hold, held := make(chan struct{}), make(chan struct{})
+	go srv.cat.View("ms", func(*core.Document) error {
+		close(held)
+		<-hold
+		return nil
+	})
+	<-held
+	defer close(hold)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct{ path, body string }{
+		{"/query", `{"doc":"standoff","query":"//w"}`}, // cold: waits for the load
+		{"/docs/ms/edit", `{"ops":[{"op":"set-attr","hierarchy":"words","index":0,"name":"k","value":"v"}]}`},
+		{"/docs/ms/undo", ``},
+		{"/docs/ms/redo", ``},
+	} {
+		before := srv.cancelled.Value()
+		req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)).WithContext(ctx)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != statusClientClosedRequest {
+			t.Fatalf("%s: status %d %s, want 499", tc.path, w.Code, w.Body.String())
+		}
+		if w.Body.Len() != 0 {
+			t.Errorf("%s: 499 carries a body: %q", tc.path, w.Body.String())
+		}
+		if got := srv.cancelled.Value(); got != before+1 {
+			t.Errorf("%s: cancelled counter %d -> %d, want +1", tc.path, before, got)
+		}
 	}
 }
 

@@ -5,11 +5,12 @@
 // lock (catalog.View): any number of requests evaluate against the same
 // document in parallel, and compiled queries are stateless between
 // evaluations, so one compiled form is shared by all requests. Writes
-// run under the write lock (catalog.Update): each edit request is one
-// editor transaction — prevalidated per operation, vetoed atomically —
-// whose commit repairs the document's indexes in place and persists the
-// document through the store's atomic save, so a query racing an edit
-// sees either the old or the new state, never a torn one.
+// run under the write lock (catalog.UpdateBatch, Undo, Redo): each edit
+// request is one editor transaction — prevalidated per operation,
+// vetoed atomically — whose commit repairs the document's indexes in
+// place and persists the document through the store's atomic save, so
+// a query racing an edit sees either the old or the new state, never a
+// torn one.
 //
 // Endpoints:
 //
@@ -722,10 +723,26 @@ type bufferedResponse struct {
 	body        bytes.Buffer
 }
 
-var brPool = sync.Pool{New: func() any { return new(bufferedResponse) }}
+var brPool = sync.Pool{New: func() any {
+	br := new(bufferedResponse)
+	br.body.Grow(int(lastBodyLen.Load()))
+	return br
+}}
+
+// Every GC empties brPool. brSpare holds one released response outside
+// it, so serial requests keep their buffer across collections, and a
+// pool miss is sized from lastBodyLen, the last released body's length:
+// one allocation instead of regrowing step by step to that size.
+var (
+	brSpare     atomic.Pointer[bufferedResponse]
+	lastBodyLen atomic.Int64
+)
 
 func newBufferedResponse() *bufferedResponse {
-	br := brPool.Get().(*bufferedResponse)
+	br := brSpare.Swap(nil)
+	if br == nil {
+		br = brPool.Get().(*bufferedResponse)
+	}
 	br.status = http.StatusOK
 	br.contentType = "application/json"
 	br.body.Reset()
@@ -738,7 +755,10 @@ func (br *bufferedResponse) release() {
 	if br.body.Cap() > 1<<20 {
 		return
 	}
-	brPool.Put(br)
+	lastBodyLen.Store(int64(br.body.Len()))
+	if !brSpare.CompareAndSwap(nil, br) {
+		brPool.Put(br)
+	}
 }
 
 func (br *bufferedResponse) flush(w http.ResponseWriter) {
@@ -754,13 +774,15 @@ func (s *Server) okBuf(br *bufferedResponse, v any) {
 	enc.Encode(v)
 }
 
-// failBuf records a JSON error response in the buffer.
+// failBuf records a JSON error response (no body for a 499) in the buffer.
 func (s *Server) failBuf(br *bufferedResponse, code int, format string, args ...any) {
 	s.errors.Add(1)
 	br.status = code
 	br.contentType = "application/json"
 	br.body.Reset()
-	json.NewEncoder(&br.body).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	if code != statusClientClosedRequest {
+		json.NewEncoder(&br.body).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	}
 }
 
 func (s *Server) serveFLWOR(ctx context.Context, br *bufferedResponse, doc *core.Document, req QueryRequest, tr *obs.Trace, limit int, budget xpath.Budget, start time.Time) {
@@ -1061,20 +1083,14 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request, id, actio
 	ctx, cancel := s.requestContext(r, 0)
 	defer cancel()
 	start := time.Now()
+	move := s.cat.Undo
+	if action == "redo" {
+		move = s.cat.Redo
+	}
 	var resp EditResponse
-	err := s.cat.UpdateContext(ctx, id, func(doc *core.Document) error {
-		var err error
-		if action == "undo" {
-			err = doc.Edit().Undo()
-		} else {
-			err = doc.Edit().Redo()
-		}
-		if err != nil {
-			return err
-		}
+	err := move(ctx, id, func(doc *core.Document) {
 		st := doc.GODDAG().Stats()
 		resp = EditResponse{Doc: id, Applied: 1, Elements: st.Elements, Leaves: st.Leaves}
-		return nil
 	})
 	if err != nil {
 		var nf *catalog.ErrNotFound
@@ -1189,11 +1205,14 @@ func (s *Server) ok(w http.ResponseWriter, v any) {
 	}
 }
 
+// fail writes a JSON error response; a 499 gets none, the client is gone.
 func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
 	s.errors.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	if code != statusClientClosedRequest {
+		json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	}
 }
 
 // queryCache is an LRU of compiled queries keyed by source text, shared

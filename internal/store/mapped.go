@@ -74,9 +74,9 @@ func (m *Mapped) SectionSizes() []int {
 func (m *Mapped) Size() int { return len(m.data) }
 
 // OpenMappedFile maps path through fsys and validates the v3 header.
-// The mapping stays alive while the returned handle — or any document
-// built from it, including editor clones — is reachable; it is released
-// by Close or, failing that, a finalizer.
+// The mapping stays alive while the returned handle — or the document
+// built from it — is reachable; it is released by Close or, failing
+// that, a finalizer.
 func OpenMappedFile(fsys faultfs.FS, path string) (*Mapped, error) {
 	mp, err := faultfs.Map(fsys, path)
 	if err != nil {
@@ -93,7 +93,10 @@ func OpenMappedFile(fsys faultfs.FS, path string) (*Mapped, error) {
 	return m, nil
 }
 
-// OpenMappedBytes opens an in-memory v3 image (fuzzing, decode).
+// OpenMappedBytes opens an in-memory v3 image: fuzzing, decode, and the
+// editor's undo, redo and rollback, which restore a state from the
+// image they kept of it. The document aliases data, which must not
+// change; no mapping or finalizer is involved.
 func OpenMappedBytes(data []byte) (*Mapped, error) {
 	return openMapped(data)
 }

@@ -38,9 +38,9 @@
 // compatibility) falls back to the general InsertElement replay; the two
 // paths build identical structures.
 //
-// Encode still writes v2 — the WAL's snapshot records and fingerprints
-// are v2 streams, and readers for both stay — while Save/SaveFS write
-// v3, so any v2 file migrates to v3 on its next save.
+// Encode still writes v2 — WAL fingerprints hash a v2 stream, and older
+// WAL snapshot records hold one — while the saves write v3, so any v2
+// file migrates to v3 on its next save.
 package store
 
 import (
@@ -126,6 +126,24 @@ func Save(path string, doc *goddag.Document) error {
 // mean "this filesystem does not support directory fsync" are
 // tolerated (the rename is then as durable as the platform allows).
 func SaveFS(fsys faultfs.FS, path string, doc *goddag.Document) error {
+	return save(fsys, path, func(f faultfs.File) error { return EncodeV3(f, doc) })
+}
+
+// SaveImageFS is SaveFS for a document already encoded: it writes img,
+// a v3 image (MarshalV3), through the same temp-file, sync, rename and
+// directory-sync sequence.
+func SaveImageFS(fsys faultfs.FS, path string, img []byte) error {
+	return save(fsys, path, func(f faultfs.File) error {
+		if _, err := f.Write(img); err != nil {
+			return fmt.Errorf("store: save: %w", err)
+		}
+		return nil
+	})
+}
+
+// save is the atomic save sequence around write, which fills the
+// temporary file.
+func save(fsys faultfs.FS, path string, write func(faultfs.File) error) error {
 	f, err := fsys.CreateTemp(filepath.Dir(path), ".gdag-tmp-*")
 	if err != nil {
 		return fmt.Errorf("store: save: %w", err)
@@ -136,7 +154,7 @@ func SaveFS(fsys faultfs.FS, path string, doc *goddag.Document) error {
 			fsys.Remove(tmp)
 		}
 	}()
-	if err := EncodeV3(f, doc); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -55,7 +55,7 @@ const (
 // or counts exceed the u32 coordinate space are rejected (v2's varint
 // form has the same practical bound via maxString).
 func EncodeV3(w io.Writer, doc *goddag.Document) error {
-	data, err := appendV3(nil, doc)
+	data, err := MarshalV3(doc)
 	if err != nil {
 		return err
 	}
@@ -65,8 +65,11 @@ func EncodeV3(w io.Writer, doc *goddag.Document) error {
 	return nil
 }
 
-// appendV3 appends the complete v3 image of doc to buf.
-func appendV3(buf []byte, doc *goddag.Document) ([]byte, error) {
+// MarshalV3 returns the v3 image of doc: the bytes EncodeV3 writes,
+// which OpenMappedBytes opens back into an identical document. The
+// image is built in one buffer, sized up front from the section
+// directory.
+func MarshalV3(doc *goddag.Document) ([]byte, error) {
 	if doc.Content().Len() > math.MaxInt32 {
 		return nil, fmt.Errorf("store: encode v3: content too large (%d bytes)", doc.Content().Len())
 	}
@@ -75,18 +78,14 @@ func appendV3(buf []byte, doc *goddag.Document) ([]byte, error) {
 		return nil, fmt.Errorf("store: encode v3: too many elements (%d)", len(cols.Tag))
 	}
 
-	// String table blob + offsets.
+	// String table offsets; the blob is the strings themselves.
+	strOff := make([]uint32, 0, len(cols.Strings)+1)
 	blobLen := 0
 	for _, s := range cols.Strings {
+		strOff = append(strOff, uint32(blobLen))
 		blobLen += len(s)
 	}
-	blob := make([]byte, 0, blobLen)
-	strOff := make([]uint32, 0, len(cols.Strings)+1)
-	for _, s := range cols.Strings {
-		strOff = append(strOff, uint32(len(blob)))
-		blob = append(blob, s...)
-	}
-	strOff = append(strOff, uint32(len(blob)))
+	strOff = append(strOff, uint32(blobLen))
 
 	strID := make(map[string]uint32, len(cols.Strings))
 	for i, s := range cols.Strings {
@@ -112,8 +111,7 @@ func appendV3(buf []byte, doc *goddag.Document) ([]byte, error) {
 		meta = append(meta, id, uint32(hc.N))
 	}
 
-	var buckets []uint32
-	buckets = append(buckets, uint32(len(cols.Buckets)))
+	buckets := []uint32{uint32(len(cols.Buckets))}
 	for _, b := range cols.Buckets {
 		buckets = append(buckets, b.Tag, uint32(len(b.Pos)))
 	}
@@ -121,76 +119,88 @@ func appendV3(buf []byte, doc *goddag.Document) ([]byte, error) {
 		buckets = append(buckets, b.Pos...)
 	}
 
-	sections := []struct {
-		id   uint32
-		data []byte
-	}{
-		{secMeta, u32Bytes(meta)},
-		{secContent, []byte(doc.Content().String())},
-		{secStrBlob, blob},
-		{secStrOff, u32Bytes(strOff)},
-		{secTag, u32Bytes(cols.Tag)},
-		{secStart, u32Bytes(cols.Start)},
-		{secEnd, u32Bytes(cols.End)},
-		{secParent, i32Bytes(cols.Parent)},
-		{secPreEnd, u32Bytes(cols.PreEnd)},
-		{secOrd, u32Bytes(cols.Ord)},
-		{secAttrOff, u32Bytes(cols.AttrOff)},
-		{secAttrName, u32Bytes(cols.AttrName)},
-		{secAttrVal, u32Bytes(cols.AttrVal)},
-		{secCuts, u32Bytes(cols.Cuts)},
-		{secLeafOrd, i32Bytes(cols.LeafOrd)},
-		{secByOrd, i32Bytes(cols.ByOrd)},
-		{secOrder, u32Bytes(cols.Order)},
-		{secSpanMax, i32Bytes(cols.SpanMax)},
-		{secBuckets, u32Bytes(buckets)},
+	sections := [...]v3Section{
+		{id: secMeta, u32: meta},
+		{id: secContent, strs: []string{doc.Content().String()}},
+		{id: secStrBlob, strs: cols.Strings},
+		{id: secStrOff, u32: strOff},
+		{id: secTag, u32: cols.Tag},
+		{id: secStart, u32: cols.Start},
+		{id: secEnd, u32: cols.End},
+		{id: secParent, i32: cols.Parent},
+		{id: secPreEnd, u32: cols.PreEnd},
+		{id: secOrd, u32: cols.Ord},
+		{id: secAttrOff, u32: cols.AttrOff},
+		{id: secAttrName, u32: cols.AttrName},
+		{id: secAttrVal, u32: cols.AttrVal},
+		{id: secCuts, u32: cols.Cuts},
+		{id: secLeafOrd, i32: cols.LeafOrd},
+		{id: secByOrd, i32: cols.ByOrd},
+		{id: secOrder, u32: cols.Order},
+		{id: secSpanMax, i32: cols.SpanMax},
+		{id: secBuckets, u32: buckets},
 	}
 
-	// Header + directory.
+	// The directory fixes every offset, so the image is allocated once
+	// and each section is written and checksummed in place. Payloads
+	// start 8-aligned after the header CRC; the last one is not padded.
 	dirEnd := v3HeaderLen + len(sections)*v3EntryLen
-	off := align8(dirEnd + 4) // header CRC follows the directory
-	start := len(buf)
-	buf = append(buf, magic...)
-	buf = append(buf, v3Version, 0, 0, 0)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sections)))
-	buf = binary.LittleEndian.AppendUint32(buf, 0)
-	for _, s := range sections {
-		buf = binary.LittleEndian.AppendUint32(buf, s.id)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.data)))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(off))
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(s.data, crcTable))
-		buf = binary.LittleEndian.AppendUint32(buf, 0)
-		off += align8(len(s.data))
+	off := align8(dirEnd + 4)
+	size := off
+	for i := range sections {
+		sections[i].off = off
+		size = off + sections[i].size()
+		off = align8(size)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], crcTable))
-	for _, s := range sections {
-		for len(buf)-start < dirEnd+4 || (len(buf)-start)%8 != 0 {
-			buf = append(buf, 0)
-		}
-		buf = append(buf, s.data...)
+	img := make([]byte, size)
+	copy(img, magic)
+	img[4] = v3Version
+	binary.LittleEndian.PutUint32(img[8:], uint32(len(sections)))
+	for i := range sections {
+		s := &sections[i]
+		payload := img[s.off : s.off+s.size()]
+		s.put(payload)
+		e := img[v3HeaderLen+i*v3EntryLen:]
+		binary.LittleEndian.PutUint32(e, s.id)
+		binary.LittleEndian.PutUint32(e[4:], uint32(len(payload)))
+		binary.LittleEndian.PutUint64(e[8:], uint64(s.off))
+		binary.LittleEndian.PutUint32(e[16:], crc32.Checksum(payload, crcTable))
 	}
-	// Trailing alignment of the last section is not written: file length
-	// equals the last section's end.
-	return buf, nil
+	binary.LittleEndian.PutUint32(img[dirEnd:], crc32.Checksum(img[:dirEnd], crcTable))
+	return img, nil
+}
+
+// v3Section is one section of an image being encoded: a byte payload
+// (the concatenation of strs) or a fixed-width little-endian column.
+type v3Section struct {
+	id   uint32
+	strs []string
+	u32  []uint32
+	i32  []int32
+	off  int // absolute payload offset, set from the directory pass
+}
+
+// size is the section's payload length in bytes.
+func (s *v3Section) size() int {
+	n := 4 * (len(s.u32) + len(s.i32))
+	for _, str := range s.strs {
+		n += len(str)
+	}
+	return n
+}
+
+// put writes the payload into dst, which is exactly size() bytes.
+func (s *v3Section) put(dst []byte) {
+	for _, str := range s.strs {
+		dst = dst[copy(dst, str):]
+	}
+	for i, v := range s.u32 {
+		binary.LittleEndian.PutUint32(dst[4*i:], v)
+	}
+	for i, v := range s.i32 {
+		binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
+	}
 }
 
 // align8 rounds up to the next multiple of 8.
 func align8(n int) int { return (n + 7) &^ 7 }
-
-// u32Bytes serializes a uint32 slice little-endian.
-func u32Bytes(vs []uint32) []byte {
-	out := make([]byte, 4*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(out[4*i:], v)
-	}
-	return out
-}
-
-// i32Bytes serializes an int32 slice little-endian (two's complement).
-func i32Bytes(vs []int32) []byte {
-	out := make([]byte, 4*len(vs))
-	for i, v := range vs {
-		binary.LittleEndian.PutUint32(out[4*i:], uint32(v))
-	}
-	return out
-}

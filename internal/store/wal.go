@@ -11,7 +11,8 @@
 // Segment layout:
 //
 //	header:  magic "GWAL", version byte
-//	records: kind byte ('O' op batch JSON, 'S' full-document snapshot),
+//	records: kind byte ('O' op batch JSON, 'S' full-document snapshot:
+//	         a v3 image, or a v2 stream in segments written before v3),
 //	         pre-state fingerprint (4 bytes BE, see Fingerprint),
 //	         payload length (uvarint), payload,
 //	         CRC-32 (Castagnoli) of everything since the kind byte (4 bytes BE)
@@ -30,6 +31,11 @@
 // fingerprints no longer match the saved base and replay skips them
 // instead of applying the batch twice. Snapshot records carry the
 // post-state document wholesale and need no fingerprint.
+//
+// An undo or redo restores a state the session kept as its v3 image,
+// and the snapshot record logs that same image, so a history move
+// encodes nothing. Snapshot payloads in older segments are v2 streams;
+// replay decodes both, dispatching on the version byte (Decode).
 //
 // A WAL is single-writer: the catalog serializes appends under each
 // document's write lock. Appends that fail part-way rewind the file to
@@ -67,10 +73,11 @@ const (
 	// batch is applied. Replay re-applies it through the transaction
 	// API when the pre-state fingerprint matches.
 	RecordOps RecordKind = 'O'
-	// RecordSnapshot is a full document in the .gdag encoding, logged
-	// after an edit whose effect is not expressible as an op batch
-	// (undo, redo, arbitrary Update closures). Replay replaces the
-	// document wholesale, which is naturally idempotent.
+	// RecordSnapshot is a full document as a v3 image (MarshalV3),
+	// logged after an undo or redo, whose effect is not an op batch.
+	// Replay replaces the document wholesale, which is naturally
+	// idempotent. Payloads logged by earlier versions are v2 streams and
+	// still replay: Decode reads either version.
 	RecordSnapshot RecordKind = 'S'
 )
 
@@ -80,7 +87,7 @@ type Record struct {
 	// Pre is the fingerprint of the document state the record was
 	// logged against (RecordOps only).
 	Pre uint32
-	// Payload is the record body: editor.Batch JSON or .gdag bytes.
+	// Payload is the record body: editor.Batch JSON or a .gdag image.
 	Payload []byte
 }
 
