@@ -11,11 +11,9 @@
 // already reached the saved base (crash between the save's rename and
 // the log reset) is skipped, never applied twice.
 //
-// Undo and Redo are the other writes. A history move is not an op
-// batch, so it applies first and is then logged as a snapshot record:
-// the v3 image the session kept of the state it restored, which is
-// also the image the save writes. A commit therefore builds at most one
-// v3 image: one for a batch, none for a move.
+// Undo and Redo apply first and then log a snapshot record: the v3
+// image the session kept of the restored state, which the save writes
+// too. A commit builds at most one v3 image (none for a history move).
 //
 // A disk that keeps failing degrades service instead of wedging it:
 // FailThreshold consecutive failed persists turn the document
@@ -185,7 +183,7 @@ func (c *Catalog) edit(ctx context.Context, id string, commit func(*entry, *core
 	return commit(e, doc)
 }
 
-// walAppend appends one record and reports whether it is durable.
+// walAppend reports whether the appended record is durable.
 func (c *Catalog) walAppend(w *store.WAL, kind store.RecordKind, pre uint32, payload []byte) bool {
 	start := time.Now()
 	err := w.Append(kind, pre, payload)

@@ -109,7 +109,9 @@ type Options struct {
 // DefaultHistoryLimit is the default undo depth.
 const DefaultHistoryLimit = 64
 
-// Session is an editing session over a GODDAG document.
+// Session is an editing session over a GODDAG document. Its history
+// is a stack of v3 images; undo, redo and a rollback replace Document()
+// with a new document value restored from one of them.
 type Session struct {
 	doc    *goddag.Document
 	schema *validate.Schema

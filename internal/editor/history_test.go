@@ -218,3 +218,40 @@ func evalRendered(t *testing.T, doc *goddag.Document, q string, opts xpath.Optio
 	}
 	return b.String()
 }
+
+// TestRestoreKeepsIncrementalRepair: every restore — a vetoed batch's
+// rollback, undo, redo — yields a new document value, which must keep
+// the session document's incremental-repair setting.
+func TestRestoreKeepsIncrementalRepair(t *testing.T) {
+	s := newSession(t, false)
+	s.Document().SetIncrementalRepair(false)
+	insert := []Op{{Op: "insert-markup", Hierarchy: "words", Tag: "w", Start: 0, End: 3}}
+	if err := s.ApplyBatch(insert); err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		name string
+		run  func() error
+	}{
+		{"vetoed batch", func() error {
+			if err := s.ApplyBatch([]Op{insert[0], {Op: "remove-markup", Hierarchy: "words", Index: 9}}); err == nil {
+				t.Fatal("batch not vetoed")
+			}
+			return nil
+		}},
+		{"undo", s.Undo},
+		{"redo", s.Redo},
+	}
+	for _, st := range steps {
+		before := s.Document()
+		if err := st.run(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if s.Document() == before {
+			t.Fatalf("%s: document not restored", st.name)
+		}
+		if s.Document().IncrementalRepair() {
+			t.Fatalf("%s: restored document repairs incrementally", st.name)
+		}
+	}
+}

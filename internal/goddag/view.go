@@ -342,9 +342,9 @@ func (d *Document) materializeLocked() {
 	est += int64(nattr) * int64(unsafe.Sizeof(Attr{}))
 	est += int64(n) * ptrSize * 4 // preArena, childArena, cache, bucketArena
 	est += int64(totalTop) * ptrSize
-	est += int64(nl) * 8           // partition starts
-	est += int64(4*n) * 8          // span tree
-	est += int64(len(strs)) * 16   // string headers (bytes stay mapped)
+	est += int64(nl) * 8         // partition starts
+	est += int64(4*n) * 8        // span tree
+	est += int64(len(strs)) * 16 // string headers (bytes stay mapped)
 	if !cols.Aliased {
 		est += int64(len(cols.ByOrd))*4 + int64(len(cols.LeafOrd))*4
 	}

@@ -729,10 +729,9 @@ var brPool = sync.Pool{New: func() any {
 	return br
 }}
 
-// Every GC empties brPool. brSpare holds one released response outside
-// it, so serial requests keep their buffer across collections, and a
-// pool miss is sized from lastBodyLen, the last released body's length:
-// one allocation instead of regrowing step by step to that size.
+// Every GC empties brPool. brSpare keeps one released response outside
+// it for serial requests, and a pool miss is sized from lastBodyLen, the
+// last released body's length: one allocation, not a chain of regrowths.
 var (
 	brSpare     atomic.Pointer[bufferedResponse]
 	lastBodyLen atomic.Int64

@@ -93,10 +93,8 @@ func OpenMappedFile(fsys faultfs.FS, path string) (*Mapped, error) {
 	return m, nil
 }
 
-// OpenMappedBytes opens an in-memory v3 image: fuzzing, decode, and the
-// editor's undo, redo and rollback, which restore a state from the
-// image they kept of it. The document aliases data, which must not
-// change; no mapping or finalizer is involved.
+// OpenMappedBytes opens an in-memory v3 image (fuzzing, decode, editor
+// restores). The document aliases data, which must not change.
 func OpenMappedBytes(data []byte) (*Mapped, error) {
 	return openMapped(data)
 }
@@ -433,7 +431,7 @@ func (m *Mapped) columns() (*goddag.Columns, error) {
 	}
 	for j := 0; j < nl; j++ {
 		lo := leafOrd[j]
-		if lo <= 0 || int(lo) >= nord || byOrd[lo] != int32(-(j + 1)) {
+		if lo <= 0 || int(lo) >= nord || byOrd[lo] != int32(-(j+1)) {
 			return nil, fmt.Errorf("store: ordinal tables disagree on leaf %d", j)
 		}
 	}

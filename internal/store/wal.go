@@ -32,11 +32,6 @@
 // instead of applying the batch twice. Snapshot records carry the
 // post-state document wholesale and need no fingerprint.
 //
-// An undo or redo restores a state the session kept as its v3 image,
-// and the snapshot record logs that same image, so a history move
-// encodes nothing. Snapshot payloads in older segments are v2 streams;
-// replay decodes both, dispatching on the version byte (Decode).
-//
 // A WAL is single-writer: the catalog serializes appends under each
 // document's write lock. Appends that fail part-way rewind the file to
 // the last durable record boundary so the segment stays well-formed.

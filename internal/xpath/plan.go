@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/document"
 	"repro/internal/goddag"
@@ -753,15 +752,8 @@ func (s *Stream) Close() {
 // request (the dedup-bitset pool the roadmap calls for).
 var evPool = sync.Pool{New: func() any { return new(evaluator) }}
 
-// evSpare holds one released evaluator outside evPool, which every GC
-// empties: serial queries keep reusing it across collections.
-var evSpare atomic.Pointer[evaluator]
-
 func acquireEvaluator(doc *goddag.Document, query string, opts Options) *evaluator {
-	ev := evSpare.Swap(nil)
-	if ev == nil {
-		ev = evPool.Get().(*evaluator)
-	}
+	ev := evPool.Get().(*evaluator)
 	ev.doc = doc
 	ev.query = query
 	ev.opts = opts
@@ -802,7 +794,5 @@ func releaseEvaluator(ev *evaluator) {
 	ev.lim = nil
 	ev.tr = nil
 	ev.seen.reset() // keep grown bits, clear touched entries
-	if !evSpare.CompareAndSwap(nil, ev) {
-		evPool.Put(ev)
-	}
+	evPool.Put(ev)
 }
