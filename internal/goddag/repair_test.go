@@ -9,29 +9,55 @@ import (
 	"repro/internal/document"
 )
 
-// elemKey identifies an element across document copies by hierarchy,
-// tag, span and attributes. Copies renumber insertion sequences, so the
-// order of equal spans is checked by position, not by key.
+// elemKey identifies an element across document copies: copyTree
+// preserves hierarchy, tag, span, and insertion sequence.
 func elemKey(e *Element) string {
-	return fmt.Sprintf("%s:%s%v%v", e.hier.name, e.name, e.span, e.attrs)
+	return fmt.Sprintf("%s:%s%v#%d", e.hier.name, e.name, e.span, e.seq)
+}
+
+// copyTree returns a deep copy of d's structure — text, leaf cuts, and
+// each hierarchy's element trees with their insertion sequences — with
+// cold derived indexes. It walks the trees, never the indexes, so a
+// repair that misorders an index cannot leak into the copy.
+func copyTree(d *Document) *Document {
+	d.ensure()
+	nd := New(d.rootTag, d.content.String())
+	nd.seq = d.seq
+	for _, b := range d.part.Boundaries() {
+		nd.part.Cut(b)
+	}
+	for _, name := range d.order {
+		h := d.hiers[name]
+		nh := nd.AddHierarchy(name)
+		var walk func(es []*Element, parent *Element) []*Element
+		walk = func(es []*Element, parent *Element) []*Element {
+			out := make([]*Element, 0, len(es))
+			for _, e := range es {
+				ne := &Element{
+					doc: nd, hier: nh, name: e.name,
+					attrs: append([]Attr(nil), e.attrs...),
+					span:  e.span, parent: parent, seq: e.seq,
+				}
+				ne.children = walk(e.children, ne)
+				out = append(out, ne)
+			}
+			return out
+		}
+		nh.top = walk(h.top, nil)
+		nh.n = h.n
+	}
+	return nd
 }
 
 // assertIndexesEqualRebuild holds every live derived index of d — which
 // may have been repaired in place any number of times — against a
-// from-scratch rebuild on a copy: d's structure through its columnar
-// image, with every index the image carries discarded.
+// from-scratch rebuild on a cold structural copy.
 func assertIndexesEqualRebuild(t *testing.T, d *Document) {
 	t.Helper()
 	if err := d.Check(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
-	cols := d.ExportColumns()
-	ref := FromView(&DocView{
-		RootTag: d.RootTag(), Content: d.Content().String(), HierNames: d.HierarchyNames(),
-		Materialize: func() (*Columns, error) { return cols, nil },
-	})
-	ref.ensure()
-	ref.bump() // stale every materialized index: Warm rebuilds them all
+	ref := copyTree(d)
 	ref.Warm()
 
 	els, rels := d.Elements(), ref.Elements()
