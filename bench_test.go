@@ -18,6 +18,7 @@ import (
 	"repro/internal/document"
 	"repro/internal/drivers"
 	"repro/internal/dtd"
+	"repro/internal/editor"
 	"repro/internal/goddag"
 	"repro/internal/sacx"
 	"repro/internal/store"
@@ -400,6 +401,30 @@ func BenchmarkInsertElement(b *testing.B) {
 			}
 			lastEnd = span.End
 		}
+	}
+}
+
+// BenchmarkSessionBatch is an edit outside the catalog, as cmd/xtagger
+// and perfbench's replica sessions issue them: one set-attr batch per
+// op through editor.Session, whose Begin encodes the pre-state image.
+func BenchmarkSessionBatch(b *testing.B) {
+	for _, words := range []int{2000, 8000} {
+		b.Run(fmt.Sprintf("words=%d", words), func(b *testing.B) {
+			doc, err := corpus.Generate(corpus.DefaultConfig(words))
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := editor.NewSession(doc, nil, editor.Options{HistoryLimit: 1})
+			n := doc.Hierarchy("words").Len()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op := editor.Op{Op: "set-attr", Hierarchy: "words", Index: i % n, Name: "k", Value: fmt.Sprint(i % 7)}
+				if err := s.ApplyBatch([]editor.Op{op}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

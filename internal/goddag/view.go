@@ -367,18 +367,26 @@ func (d *Document) ExportColumns() *Columns {
 	d.mu.Unlock()
 
 	n := len(els)
+	nattr := 0
+	for _, e := range els {
+		nattr += len(e.attrs)
+	}
+	nstr := 1 + len(d.order) + len(nameIdx) + nattr // attribute values are mostly distinct
 	cols := &Columns{
-		Tag:     make([]uint32, n),
-		Start:   make([]uint32, n),
-		End:     make([]uint32, n),
-		Parent:  make([]int32, n),
-		PreEnd:  make([]uint32, n),
-		Ord:     make([]uint32, n),
-		AttrOff: make([]uint32, n+1),
-		Order:   make([]uint32, n),
+		Tag:      make([]uint32, n),
+		Start:    make([]uint32, n),
+		End:      make([]uint32, n),
+		Parent:   make([]int32, n),
+		PreEnd:   make([]uint32, n),
+		Ord:      make([]uint32, n),
+		AttrOff:  make([]uint32, n+1),
+		Order:    make([]uint32, n),
+		Strings:  make([]string, 0, nstr),
+		AttrName: make([]uint32, 0, nattr),
+		AttrVal:  make([]uint32, 0, nattr),
 	}
 
-	strIDs := make(map[string]uint32)
+	strIDs := make(map[string]uint32, nstr)
 	intern := func(s string) uint32 {
 		if id, ok := strIDs[s]; ok {
 			return id
@@ -440,8 +448,11 @@ func (d *Document) ExportColumns() *Columns {
 	}
 	cols.LeafOrd = append([]int32(nil), ords.leafOrd...)
 	cols.ByOrd = append([]int32(nil), ords.byOrd...)
+	pos := make([]uint32, n) // element-cache position by export index
 	for k, e := range els {
-		cols.Order[k] = uint32(hierBase[e.hier] + int(e.preIdx))
+		g := hierBase[e.hier] + int(e.preIdx)
+		cols.Order[k] = uint32(g)
+		pos[g] = uint32(k)
 	}
 	if n > 0 {
 		cols.SpanMax = make([]int32, 4*n)
@@ -450,10 +461,6 @@ func (d *Document) ExportColumns() *Columns {
 		}
 	}
 
-	pos := make(map[*Element]uint32, n)
-	for k, e := range els {
-		pos[e] = uint32(k)
-	}
 	tags := make([]string, 0, len(nameIdx))
 	for t, es := range nameIdx {
 		if len(es) > 0 { // repair can leave a bucket empty; a rebuild drops it
@@ -464,7 +471,7 @@ func (d *Document) ExportColumns() *Columns {
 	for _, t := range tags {
 		b := Bucket{Tag: intern(t), Pos: make([]uint32, 0, len(nameIdx[t]))}
 		for _, e := range nameIdx[t] {
-			b.Pos = append(b.Pos, pos[e])
+			b.Pos = append(b.Pos, pos[hierBase[e.hier]+int(e.preIdx)])
 		}
 		cols.Buckets = append(cols.Buckets, b)
 	}

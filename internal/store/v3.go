@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/goddag"
 )
@@ -87,16 +88,11 @@ func MarshalV3(doc *goddag.Document) ([]byte, error) {
 	}
 	strOff = append(strOff, uint32(blobLen))
 
-	strID := make(map[string]uint32, len(cols.Strings))
-	for i, s := range cols.Strings {
-		if _, ok := strID[s]; !ok {
-			strID[s] = uint32(i)
-		}
-	}
+	// ExportColumns interns the root tag and hierarchy names first.
 	meta := make([]uint32, 0, 7+2*len(cols.Hiers))
 	meta = append(meta,
 		uint32(doc.Content().Len()),
-		strID[doc.RootTag()],
+		uint32(max(slices.Index(cols.Strings, doc.RootTag()), 0)),
 		uint32(len(cols.Hiers)),
 		uint32(len(cols.Tag)),
 		uint32(len(cols.AttrName)),
@@ -104,11 +100,11 @@ func MarshalV3(doc *goddag.Document) ([]byte, error) {
 		uint32(len(cols.Strings)),
 	)
 	for _, hc := range cols.Hiers {
-		id, ok := strID[hc.Name]
-		if !ok {
+		id := slices.Index(cols.Strings, hc.Name)
+		if id < 0 {
 			return nil, fmt.Errorf("store: encode v3: hierarchy name %q not interned", hc.Name)
 		}
-		meta = append(meta, id, uint32(hc.N))
+		meta = append(meta, uint32(id), uint32(hc.N))
 	}
 
 	buckets := []uint32{uint32(len(cols.Buckets))}
