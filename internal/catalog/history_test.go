@@ -197,7 +197,7 @@ func runHistory(t *testing.T, data []byte) {
 			model := decodeImage(t, m.state())
 			for _, q := range historyQueries {
 				plan := renderQuery(t, doc.GODDAG(), q, xpath.Options{})
-				ref := renderQuery(t, model, q, xpath.Options{NoFastPaths: true})
+				ref := renderQuery(t, model, q, xpath.Options{Reference: true})
 				if plan != ref {
 					return fmt.Errorf("%q: catalog %s, model %s", q, plan, ref)
 				}

@@ -120,7 +120,7 @@ func TestHistoryProperty(t *testing.T) {
 				}
 				for _, q := range historyQueries {
 					plan := evalRendered(t, s.Document(), q, xpath.Options{})
-					ref := evalRendered(t, s.Document(), q, xpath.Options{NoFastPaths: true})
+					ref := evalRendered(t, s.Document(), q, xpath.Options{Reference: true})
 					if plan != ref {
 						t.Fatalf("step %d (%s): %q planner %s != reference %s", step, what, q, plan, ref)
 					}

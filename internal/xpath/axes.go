@@ -326,9 +326,9 @@ const (
 
 // overlapAxis finds elements properly overlapping the context node's span.
 // The production implementation compares spans (O(1) per candidate, D3);
-// with Options.OverlapByWalk it instead walks the GODDAG through shared
+// under Options.Reference it instead walks the GODDAG through shared
 // leaves, which visits only connected markup but pays pointer-chasing
-// costs — kept as the A2 ablation baseline.
+// costs — the reference algorithm and the A2 ablation baseline.
 func (ev *evaluator) overlapAxis(n goddag.Node, dir overlapDir) []goddag.Node {
 	sp := n.Span()
 	match := func(es document.Span) bool {
@@ -341,7 +341,7 @@ func (ev *evaluator) overlapAxis(n goddag.Node, dir overlapDir) []goddag.Node {
 			return es.Overlaps(sp)
 		}
 	}
-	if !ev.opts.OverlapByWalk {
+	if !ev.opts.Reference {
 		// ElementsOverlapping serves candidates from the interval index
 		// with early termination; directional variants are subsets of it.
 		var out []goddag.Node

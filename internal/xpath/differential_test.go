@@ -61,8 +61,9 @@ func randomDoc(seed int64) *goddag.Document {
 }
 
 // TestFastPathsAgreeWithReference evaluates a battery of queries on
-// random documents four ways — optimized/reference plans × fast/slow
-// step evaluation — and demands identical node-sets.
+// random documents four ways — optimized/reference compilation ×
+// production/Options.Reference evaluation — and demands identical
+// node-sets.
 func TestFastPathsAgreeWithReference(t *testing.T) {
 	queries := []string{
 		"//a",
@@ -81,6 +82,15 @@ func TestFastPathsAgreeWithReference(t *testing.T) {
 		"//text()",
 		"//a[2]",
 		"//a[overlaps(//b)]",
+		// positional predicates on every axis with indexed candidates,
+		// and on the reverse axes (numbered nearest-first)
+		"/descendant::a[2]", "/descendant-or-self::*[last()]",
+		"/child::b[2]", "/*[3]", "//text()/ancestor::*[1]",
+		"//text()/ancestor-or-self::*[2]", "//b/preceding::a[1]",
+		"//c/preceding::*[last()]", "//a/preceding::node()[3]",
+		"//a/following::b[2]", "//c/following::*[last()]",
+		"//a/covered::*[position() mod 2 = 1]",
+		"//b/preceding-sibling::*[1]",
 	}
 	for seed := int64(1); seed <= 10; seed++ {
 		doc := randomDoc(seed)
@@ -93,9 +103,9 @@ func TestFastPathsAgreeWithReference(t *testing.T) {
 				opts Options
 			}{
 				{optimized, Options{}},
-				{optimized, Options{NoFastPaths: true}},
-				{reference, Options{NoFastPaths: true}},
-				{reference, Options{OverlapByWalk: true, NoFastPaths: true}},
+				{optimized, Options{Reference: true}},
+				{reference, Options{}},
+				{reference, Options{Reference: true}},
 			} {
 				v, err := run.q.EvalWithOptions(doc, run.opts)
 				if err != nil {
@@ -156,7 +166,7 @@ func TestScalarQueriesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v2, err := compileReference(t, qs).EvalWithOptions(doc, Options{NoFastPaths: true})
+			v2, err := compileReference(t, qs).EvalWithOptions(doc, Options{Reference: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -109,12 +109,32 @@ func (v Value) Number() float64 {
 		}
 		return 0
 	default:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.String()), 64)
-		if err != nil {
+		return stringNumber(v.String())
+	}
+}
+
+// stringNumber converts a string per XPath 1.0 §4.4: optional
+// whitespace, an optional minus sign, a Number (digits with at most one
+// decimal point), optional whitespace. Anything else — exponents, a
+// plus sign, Inf, hex — is NaN.
+func stringNumber(s string) float64 {
+	s = strings.Trim(s, " \t\r\n")
+	digits, dot := 0, false
+	for _, c := range []byte(strings.TrimPrefix(s, "-")) {
+		switch {
+		case c >= '0' && c <= '9':
+			digits++
+		case c == '.' && !dot:
+			dot = true
+		default:
 			return math.NaN()
 		}
-		return f
 	}
+	if digits == 0 {
+		return math.NaN()
+	}
+	f, _ := strconv.ParseFloat(s, 64) // an out-of-range Number is ±Inf
+	return f
 }
 
 // Bool converts the value to a boolean per XPath rules: node-sets are
@@ -134,11 +154,19 @@ func (v Value) Bool() bool {
 	}
 }
 
+// formatNumber converts a number to a string per XPath 1.0 §4.2:
+// NaN, Infinity and -Infinity by name, an integer without a decimal
+// point, anything else in decimal notation, never with an exponent.
 func formatNumber(f float64) string {
-	if f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) < 1e15 {
-		return strconv.FormatInt(int64(f), 10)
+	switch {
+	case math.IsInf(f, 1):
+		return "Infinity"
+	case math.IsInf(f, -1):
+		return "-Infinity"
+	case f == math.Trunc(f) && math.Abs(f) < 1e15:
+		return strconv.FormatInt(int64(f), 10) // also turns -0 into "0"
 	}
-	return strconv.FormatFloat(f, 'g', -1, 64)
+	return strconv.FormatFloat(f, 'f', -1, 64)
 }
 
 // Singleton returns a node-set value holding exactly one node; the FLWOR
@@ -177,23 +205,15 @@ type evalCtx struct {
 
 // Options tune evaluation.
 type Options struct {
-	// OverlapByWalk forces the overlapping axes to traverse the GODDAG
-	// through shared leaves instead of using span-interval arithmetic.
-	// It exists as the ablation baseline for experiment A2
-	// and is never faster.
-	OverlapByWalk bool
-
-	// NoFastPaths disables the step fast paths (collapsed descendants
-	// and leaf-free candidate enumeration) so evaluation takes only the
-	// reference code paths. Used by differential tests; results must be
-	// identical either way.
-	NoFastPaths bool
-
-	// NoPlanner disables the cost-based plan layer (bucket scans,
-	// predicate pushdown, semi-join reordering, count/exists clamps)
-	// while keeping the step fast paths. Used by differential tests and
-	// ablation benchmarks; results must be identical either way.
-	NoPlanner bool
+	// Reference evaluates with the reference algorithms only: every
+	// step materializes its axis and filters it by the node test, the
+	// overlapping axes walk the GODDAG through shared leaves instead of
+	// using span-interval arithmetic, and the planner is bypassed
+	// (Stream and the count/boolean/not clamps run the materializing
+	// evaluator). Results are identical either way. It is the
+	// differential oracle of the tests and the ablation baseline of
+	// experiment A2, and is never faster.
+	Reference bool
 
 	// Context, when cancellable, makes the evaluation cooperative: the
 	// evaluator polls ctx.Err() at amortized checkpoints (every
@@ -451,10 +471,8 @@ func (ev *evaluator) evalBinary(e *binaryExpr, ctx evalCtx) (Value, error) {
 			return Value{}, ev.errorf("'|' requires node-sets")
 		}
 		return nodesValue(ev.union(l.nodes, r.nodes)), nil
-	case "=", "!=":
-		return boolValue(compareValues(l, r, e.op)), nil
-	case "<", "<=", ">", ">=":
-		return boolValue(compareNumeric(l, r, e.op)), nil
+	case "=", "!=", "<", "<=", ">", ">=":
+		return boolValue(compare(l, r, e.op)), nil
 	case "+":
 		return numberValue(l.Number() + r.Number()), nil
 	case "-":
@@ -470,97 +488,65 @@ func (ev *evaluator) evalBinary(e *binaryExpr, ctx evalCtx) (Value, error) {
 	}
 }
 
-// compareValues implements =/!= with XPath existential node-set
-// semantics (simplified: node string-values are compared).
-func compareValues(l, r Value, op string) bool {
-	eq := func(a, b string) bool {
-		if op == "=" {
-			return a == b
-		}
-		return a != b
+// compare implements the comparison operators per XPath 1.0 §3.4. A
+// node-set compared with a boolean compares as boolean(node-set); any
+// other node-set operand compares existentially, member by member, as
+// the member's string value. Between scalars, = and != compare as
+// booleans if either side is one, else as numbers if either side is
+// one, else as strings; the relational operators always compare
+// numbers.
+func compare(l, r Value, op string) bool {
+	if l.kind == valBool && r.IsNodeSet() {
+		r = boolValue(r.Bool())
+	}
+	if r.kind == valBool && l.IsNodeSet() {
+		l = boolValue(l.Bool())
 	}
 	switch {
-	case l.IsNodeSet() && r.IsNodeSet():
-		for _, a := range setStrings(l) {
-			for _, b := range setStrings(r) {
-				if eq(a, b) {
-					return true
-				}
-			}
-		}
-		return false
 	case l.IsNodeSet():
-		for _, a := range setStrings(l) {
-			if eq(a, r.String()) {
-				return true
-			}
-		}
-		return false
+		return anyMember(l, func(s string) bool { return compare(stringValue(s), r, op) })
 	case r.IsNodeSet():
-		for _, b := range setStrings(r) {
-			if eq(l.String(), b) {
-				return true
-			}
-		}
-		return false
+		return anyMember(r, func(s string) bool { return compare(l, stringValue(s), op) })
+	}
+	switch op {
+	case "<":
+		return l.Number() < r.Number()
+	case "<=":
+		return l.Number() <= r.Number()
+	case ">":
+		return l.Number() > r.Number()
+	case ">=":
+		return l.Number() >= r.Number()
+	}
+	var eq bool
+	switch {
 	case l.kind == valBool || r.kind == valBool:
-		return eq(fmt.Sprint(l.Bool()), fmt.Sprint(r.Bool()))
+		eq = l.Bool() == r.Bool()
 	case l.kind == valNumber || r.kind == valNumber:
-		if op == "=" {
-			return l.Number() == r.Number()
-		}
-		return l.Number() != r.Number()
+		eq = l.Number() == r.Number()
 	default:
-		return eq(l.String(), r.String())
+		eq = l.String() == r.String()
 	}
+	return eq == (op == "=")
 }
 
-func compareNumeric(l, r Value, op string) bool {
-	cmp := func(a, b float64) bool {
-		switch op {
-		case "<":
-			return a < b
-		case "<=":
-			return a <= b
-		case ">":
-			return a > b
-		default:
-			return a >= b
-		}
-	}
-	switch {
-	case l.IsNodeSet():
-		for _, a := range setStrings(l) {
-			if f, err := strconv.ParseFloat(strings.TrimSpace(a), 64); err == nil && cmp(f, r.Number()) {
-				return true
-			}
-		}
-		return false
-	case r.IsNodeSet():
-		for _, b := range setStrings(r) {
-			if f, err := strconv.ParseFloat(strings.TrimSpace(b), 64); err == nil && cmp(l.Number(), f) {
-				return true
-			}
-		}
-		return false
-	default:
-		return cmp(l.Number(), r.Number())
-	}
-}
-
-func setStrings(v Value) []string {
+// anyMember reports whether f holds for the string value of some member
+// of a node-set or attribute set.
+func anyMember(v Value, f func(string) bool) bool {
 	if v.kind == valAttrs {
-		out := make([]string, len(v.attrs))
-		for i, a := range v.attrs {
-			out[i] = a.Value
+		for _, a := range v.attrs {
+			if f(a.Value) {
+				return true
+			}
 		}
-		return out
+		return false
 	}
-	out := make([]string, len(v.nodes))
-	for i, n := range v.nodes {
-		out[i] = n.Text()
+	for _, n := range v.nodes {
+		if f(n.Text()) {
+			return true
+		}
 	}
-	return out
+	return false
 }
 
 // evalPath evaluates a location path.
@@ -629,52 +615,24 @@ func (ev *evaluator) evalPath(p *pathExpr, ctx evalCtx) (Value, error) {
 	return nodesValue(current), nil
 }
 
-// evalStep applies one step to every node of the current set, with
-// predicate filtering per origin node list (XPath position semantics).
-// Per-origin results are combined by a k-way document-order merge.
+// evalStep applies one step to every node of the current set: each
+// origin's candidates are filtered by the predicates with XPath position
+// semantics (see stepFrom), and the per-origin results are combined by
+// a document-order merge.
 func (ev *evaluator) evalStep(st step, current []goddag.Node, vars Bindings) ([]goddag.Node, error) {
-	if out, ok, err := ev.fastStep(st, current); err != nil {
-		return nil, err
-	} else if ok {
-		return out, nil
+	indexed := ev.indexed(st)
+	if len(current) == 1 {
+		cands, err := ev.stepFrom(st, indexed, current[0], vars)
+		if err != nil {
+			return nil, err
+		}
+		return ev.dedupSort(cands), nil
 	}
-	// Even with predicates, element-only tests never match leaves, so
-	// candidate enumeration can use the leaf-free fast path per origin;
-	// predicate positions are unchanged (leaves were filtered out anyway).
-	bare := step{axis: st.axis, test: st.test}
-	bareFast := ev.fastStepApplies(bare)
 	lists := make([][]goddag.Node, 0, len(current))
 	for _, n := range current {
-		var cands []goddag.Node
-		if bareFast {
-			cands = ev.fastCands(bare, n)
-			if err := ev.lim.Visit(len(cands) + 1); err != nil {
-				return nil, err
-			}
-		} else {
-			// The materialized axis, not the filtered survivors, is what
-			// the origin paid for — charge that (following/preceding
-			// enumerate large windows even when few candidates match).
-			axis := ev.axisNodes(st.axis, n)
-			if err := ev.lim.Visit(len(axis) + 1); err != nil {
-				return nil, err
-			}
-			cands = filterTest(axis, st.test)
-		}
-		for _, pred := range st.preds {
-			var kept []goddag.Node
-			size := len(cands)
-			for i, c := range cands {
-				pctx := evalCtx{doc: ev.doc, node: c, pos: i + 1, size: size, vars: vars}
-				v, err := ev.eval(pred, pctx)
-				if err != nil {
-					return nil, err
-				}
-				if predHolds(v, i+1) {
-					kept = append(kept, c)
-				}
-			}
-			cands = kept
+		cands, err := ev.stepFrom(st, indexed, n, vars)
+		if err != nil {
+			return nil, err
 		}
 		if len(cands) != 0 {
 			lists = append(lists, cands)
@@ -683,83 +641,73 @@ func (ev *evaluator) evalStep(st step, current []goddag.Node, vars Bindings) ([]
 	return ev.mergeLists(lists), nil
 }
 
-// fastStep handles the hottest step shapes without materializing whole
-// axis enumerations: predicate-free element tests (a name or *). Element
-// tests never match leaves, so these paths skip leaf enumeration
-// entirely; name tests are served by the document's name index,
-// intersected with pre-order subtree ranges (descendant axes) or span
-// windows located by binary search (following/preceding/covered).
-func (ev *evaluator) fastStep(st step, current []goddag.Node) ([]goddag.Node, bool, error) {
-	if !ev.fastStepApplies(st) {
-		return nil, false, nil
-	}
-	if len(current) == 1 {
-		c := ev.fastCands(st, current[0])
-		if err := ev.lim.Visit(len(c) + 1); err != nil {
-			return nil, false, err
+// stepFrom applies one step to one origin node. Predicates number the
+// candidates in proximity order (XPath 1.0 §2.4): document order on a
+// forward axis, nearest-first on a reverse one. Most enumerations
+// already come in that order (the ancestor and preceding-sibling climbs
+// nearest-first); following and covered list elements before leaves,
+// and the preceding axis counts backwards through document order.
+func (ev *evaluator) stepFrom(st step, indexed bool, n goddag.Node, vars Bindings) ([]goddag.Node, error) {
+	var cands []goddag.Node
+	if indexed {
+		cands = ev.indexedCands(st, n)
+		if err := ev.lim.Visit(len(cands) + 1); err != nil {
+			return nil, err
 		}
-		return ev.dedupSort(c), true, nil
-	}
-	lists := make([][]goddag.Node, 0, len(current))
-	for _, n := range current {
-		c := ev.fastCands(st, n)
-		if err := ev.lim.Visit(len(c) + 1); err != nil {
-			return nil, false, err
+	} else {
+		// The materialized axis, not the filtered survivors, is what
+		// the origin paid for — charge that (following/preceding
+		// enumerate large windows even when few candidates match).
+		axis := ev.axisNodes(st.axis, n)
+		if err := ev.lim.Visit(len(axis) + 1); err != nil {
+			return nil, err
 		}
-		if len(c) != 0 {
-			lists = append(lists, c)
-		}
+		cands = filterTest(axis, st.test)
 	}
-	if st.axis == AxisChild {
-		// A child-axis element candidate appears under exactly one
-		// parent, so per-origin lists are mutually duplicate-free.
-		return ev.concatOrdered(lists), true, nil
+	if len(st.preds) == 0 {
+		return cands, nil
 	}
-	return ev.mergeLists(lists), true, nil
-}
-
-// concatOrdered concatenates per-origin candidate lists known to be
-// mutually duplicate-free (same-hierarchy child lists of distinct
-// parents, per-hierarchy top-element lists), sorting by ordinal only
-// when the blocks interleave — for disjoint origins in document order
-// the concatenation is already sorted and this is one O(total) pass.
-func (ev *evaluator) concatOrdered(lists [][]goddag.Node) []goddag.Node {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return ev.dedupSort(lists[0])
+	reverse := st.axis == AxisPreceding
+	switch st.axis {
+	case AxisPreceding:
+		cands = reverseNodes(ev.dedupSort(cands))
+	case AxisFollowing, AxisCovered:
+		cands = ev.dedupSort(cands)
 	}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	ord := ev.ordinals()
-	out := make([]goddag.Node, 0, total)
-	sorted := true
-	prev := -1
-	for _, l := range lists {
-		for _, n := range l {
-			o := ord.Of(n)
-			if o <= prev {
-				sorted = false
+	for _, pred := range st.preds {
+		var kept []goddag.Node
+		size := len(cands)
+		for i, c := range cands {
+			pctx := evalCtx{doc: ev.doc, node: c, pos: i + 1, size: size, vars: vars}
+			v, err := ev.eval(pred, pctx)
+			if err != nil {
+				return nil, err
 			}
-			prev = o
-			out = append(out, n)
+			if predHolds(v, i+1) {
+				kept = append(kept, c)
+			}
 		}
+		cands = kept
 	}
-	if !sorted {
-		sort.Slice(out, func(i, j int) bool { return ord.Of(out[i]) < ord.Of(out[j]) })
+	if reverse {
+		reverseNodes(cands)
 	}
-	return out
+	return cands, nil
 }
 
-// fastStepApplies reports whether fastCands can serve the step.
-func (ev *evaluator) fastStepApplies(st step) bool {
-	if ev.opts.NoFastPaths {
-		return false
+// reverseNodes reverses ns in place and returns it.
+func reverseNodes(ns []goddag.Node) []goddag.Node {
+	for i, j := 0, len(ns)-1; i < j; i, j = i+1, j-1 {
+		ns[i], ns[j] = ns[j], ns[i]
 	}
-	if len(st.preds) != 0 || (st.test.kind != testName && st.test.kind != testAny) {
+	return ns
+}
+
+// indexed reports whether indexedCands serves the step: an element test
+// (elements never match leaves, so the enumeration can skip them) on an
+// axis with an index-backed enumeration, outside Reference evaluation.
+func (ev *evaluator) indexed(st step) bool {
+	if ev.opts.Reference || (st.test.kind != testName && st.test.kind != testAny) {
 		return false
 	}
 	switch st.axis {
@@ -772,29 +720,22 @@ func (ev *evaluator) fastStepApplies(st step) bool {
 	}
 }
 
-// fastCands produces the candidate list for one origin node of a step
-// fastStepApplies accepted. The order matches what axisNodes + filterTest
-// would produce, so positional predicates are unaffected.
-func (ev *evaluator) fastCands(st step, n goddag.Node) []goddag.Node {
+// indexedCands produces the candidate list for one origin node of a
+// step that indexed accepted, from the name buckets, pre-order subtree
+// slices, span windows and parent chains instead of a materialized
+// axis. The order matches what axisNodes + filterTest would produce, so
+// positional predicates are unaffected.
+func (ev *evaluator) indexedCands(st step, n goddag.Node) []goddag.Node {
 	match := func(e *goddag.Element) bool {
 		return st.test.kind == testAny || e.Name() == st.test.name
-	}
-	// named is the document-ordered candidate pool for window scans: the
-	// name index for a name test, every element for *.
-	named := func() []*goddag.Element {
-		if st.test.kind == testName {
-			return ev.doc.ElementsNamed(st.test.name)
-		}
-		return ev.doc.Elements()
 	}
 	var out []goddag.Node
 	switch st.axis {
 	case AxisChild:
 		switch v := n.(type) {
 		case *goddag.Root:
-			// Elements belong to exactly one hierarchy, so the
-			// per-hierarchy top lists are duplicate-free; the
-			// hierarchy-major collection just needs re-sorting.
+			// Each hierarchy's top elements are in document order;
+			// the merge interleaves the hierarchies.
 			lists := make([][]goddag.Node, 0, len(ev.doc.Hierarchies()))
 			for _, h := range ev.doc.Hierarchies() {
 				var l []goddag.Node
@@ -807,7 +748,7 @@ func (ev *evaluator) fastCands(st step, n goddag.Node) []goddag.Node {
 					lists = append(lists, l)
 				}
 			}
-			return ev.concatOrdered(lists)
+			return ev.mergeLists(lists)
 		case *goddag.Element:
 			for i, nc := 0, v.NumChildElements(); i < nc; i++ {
 				if e := v.ChildElementAt(i); match(e) {
@@ -819,15 +760,7 @@ func (ev *evaluator) fastCands(st step, n goddag.Node) []goddag.Node {
 	case AxisDescendant, AxisDescendantOrSelf:
 		switch v := n.(type) {
 		case *goddag.Root:
-			if st.test.kind == testName {
-				nm := ev.doc.ElementsNamed(st.test.name)
-				out = make([]goddag.Node, len(nm))
-				for i, e := range nm {
-					out[i] = e
-				}
-				return out
-			}
-			els := ev.doc.Elements()
+			els := bucket(ev.doc, st.test)
 			out = make([]goddag.Node, len(els))
 			for i, e := range els {
 				out[i] = e
@@ -905,7 +838,7 @@ func (ev *evaluator) fastCands(st step, n goddag.Node) []goddag.Node {
 
 	case AxisFollowing:
 		sp := n.Span()
-		nm := named()
+		nm := bucket(ev.doc, st.test)
 		i := sort.Search(len(nm), func(i int) bool { return nm[i].Span().Start >= sp.End })
 		for _, e := range nm[i:] {
 			if !goddag.NodesEqual(e, n) && spanAfter(e.Span(), sp) {
@@ -915,7 +848,7 @@ func (ev *evaluator) fastCands(st step, n goddag.Node) []goddag.Node {
 
 	case AxisPreceding:
 		sp := n.Span()
-		for _, e := range named() {
+		for _, e := range bucket(ev.doc, st.test) {
 			if e.Span().Start >= sp.Start && !e.Span().IsEmpty() {
 				break // can no longer end before sp begins
 			}
@@ -926,7 +859,7 @@ func (ev *evaluator) fastCands(st step, n goddag.Node) []goddag.Node {
 
 	case AxisCovered:
 		sp := n.Span()
-		nm := named()
+		nm := bucket(ev.doc, st.test)
 		i := sort.Search(len(nm), func(i int) bool { return nm[i].Span().Start >= sp.Start })
 		for _, e := range nm[i:] {
 			if e.Span().Start > sp.End {
@@ -941,10 +874,11 @@ func (ev *evaluator) fastCands(st step, n goddag.Node) []goddag.Node {
 }
 
 // predHolds implements XPath predicate truth: a number predicate selects
-// by position.
+// the candidate whose position equals it, so a fractional number selects
+// nothing.
 func predHolds(v Value, pos int) bool {
 	if v.kind == valNumber {
-		return int(v.f) == pos
+		return v.f == float64(pos)
 	}
 	return v.Bool()
 }

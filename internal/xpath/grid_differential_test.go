@@ -41,6 +41,18 @@ var axisCatalogQueries = []string{
 	"//line/covered::w", "//s/covered::node()", "//line/covered::mark",
 	// predicates (positional semantics are per origin) and unions
 	"//w[2]", "//s/w[3]", "//line/covered::w[2]", "//res/following::w[1]",
+	// positional predicates on every axis with indexed candidates, on
+	// the reverse axes (numbered nearest-first) and on leaf-matching
+	// tests of following and covered (numbered in document order)
+	"//s/descendant::w[2]", "//page/descendant-or-self::*[3]",
+	"//page/child::line[last()]", "/*[1]", "//w/ancestor::*[1]",
+	"//dmg/ancestor-or-self::*[2]", "//w/ancestor-or-self::*[2]",
+	"//w/ancestor::*[last()]", "//text()/ancestor::*[2]",
+	"//line/preceding::w[1]", "//res/preceding::w[position() < 3]",
+	"//dmg/preceding::node()[2]", "//dmg/following::w[last()]",
+	"//line/covered::w[position() mod 2 = 0]", "//s/covered::text()[2]",
+	"//dmg/following::node()[1]",
+	"//w/preceding-sibling::*[1]", "//w/preceding-sibling::node()[last()]",
 	"//w[@n='5']", "//w | //line", "//dmg/overlapping::w | //res",
 }
 
@@ -76,9 +88,9 @@ func gridDoc(t *testing.T, hierarchies int, density float64, vocab []string) *go
 
 // TestAxisCatalogAgreesAcrossGrid runs the axis-catalog battery over the
 // corpus grid — hierarchies 1..8 × overlap densities × default and
-// multibyte vocabularies — and demands that the ordinal/merge evaluator,
-// with and without fast paths, and the reference plan (no step rewrites)
-// produce identical node-sets, query by query.
+// multibyte vocabularies — and demands that the production evaluator,
+// the reference evaluator (Options.Reference), and the reference plan
+// (no step rewrites) produce identical node-sets, query by query.
 func TestAxisCatalogAgreesAcrossGrid(t *testing.T) {
 	vocabs := map[string][]string{"default": nil, "multibyte": corpus.MultibyteVocabulary}
 	for vn, vocab := range vocabs {
@@ -95,8 +107,8 @@ func TestAxisCatalogAgreesAcrossGrid(t *testing.T) {
 							opts Options
 						}{
 							{optimized, Options{}},
-							{optimized, Options{NoFastPaths: true}},
-							{reference, Options{NoFastPaths: true}},
+							{optimized, Options{Reference: true}},
+							{reference, Options{Reference: true}},
 						} {
 							v, err := run.q.EvalWithOptions(doc, run.opts)
 							if err != nil {
@@ -127,7 +139,7 @@ func TestAttributeAxisAgreesAcrossGrid(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v2, err := compileReference(t, qs).EvalWithOptions(doc, Options{NoFastPaths: true})
+			v2, err := compileReference(t, qs).EvalWithOptions(doc, Options{Reference: true})
 			if err != nil {
 				t.Fatal(err)
 			}

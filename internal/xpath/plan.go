@@ -27,7 +27,12 @@ import (
 //     count() reads the bucket cardinality or drains the cursor, and
 //     existence stops at the first match.
 //   - planEval: everything else falls back to the materializing
-//     evaluator unchanged.
+//     evaluator, whose one step loop (evalStep) draws element-test
+//     candidates from the same indexes.
+//
+// This is the one optimizer over the step evaluator. Options.Reference
+// bypasses it along with the indexed candidates, leaving the reference
+// evaluator as the differential oracle.
 //
 // Plans are cached per compiled Query in a single atomic slot keyed by
 // (document identity, document version); the Query instances themselves
@@ -72,13 +77,13 @@ type planSlot struct {
 	plan    *Plan
 }
 
-// planFor returns the cached plan for doc, planning on a miss. Options
-// that change evaluation semantics or disable fast paths fall back to
-// the materializing evaluator so ablation benchmarks and differential
-// tests measure what they claim to.
+// planFor returns the cached plan for doc, planning on a miss.
+// Options.Reference bypasses the planner: the materializing evaluator
+// then runs the reference algorithms, so differential tests and the
+// ablation benchmark measure what they claim to.
 func (q *Query) planFor(doc *goddag.Document, opts Options) *Plan {
-	if opts.NoFastPaths || opts.NoPlanner || opts.OverlapByWalk {
-		return &Plan{kind: planEval, lines: []string{"materialize: planner disabled by options"}}
+	if opts.Reference {
+		return &Plan{kind: planEval, lines: []string{"materialize: planner disabled by Options.Reference"}}
 	}
 	ver := doc.Version()
 	if s := q.plan.Load(); s != nil && s.doc == doc && s.version == ver {
@@ -150,7 +155,7 @@ func planNodes(doc *goddag.Document, p *pathExpr) (*Plan, bool) {
 		if !descendantAxis(st.axis) || !elementTest(st.test) {
 			return nil, false
 		}
-		est := bucketSize(doc, st.test)
+		est := len(bucket(doc, st.test))
 		scanLine := fmt.Sprintf("scan: %s from root via %s (%d candidates), document order, dedup-free", st.String(), bucketLabel(st.test), est)
 		if len(st.preds) == 0 {
 			return &Plan{kind: planScan, test: st.test, lines: []string{scanLine}}, true
@@ -185,7 +190,7 @@ func planNodes(doc *goddag.Document, p *pathExpr) (*Plan, bool) {
 		if s1.axis == AxisDescendantOrSelf && s1.test.kind == testNode && len(s1.preds) == 0 &&
 			s2.axis == AxisChild && elementTest(s2.test) && len(s2.preds) > 0 &&
 			predsStaticBool(s2.preds) {
-			est := bucketSize(doc, s2.test)
+			est := len(bucket(doc, s2.test))
 			return &Plan{kind: planScan, test: s2.test, preds: s2.preds, lines: []string{
 				fmt.Sprintf("scan: //%s via %s (%d candidates), document order, dedup-free", s2.test.String(), bucketLabel(s2.test), est),
 				fmt.Sprintf("pushdown: %d position-free predicate(s) applied during the scan", len(s2.preds)),
@@ -199,8 +204,8 @@ func planNodes(doc *goddag.Document, p *pathExpr) (*Plan, bool) {
 		// the output is bucket order (= document order), dedup-free.
 		if descendantAxis(s1.axis) && elementTest(s1.test) && len(s1.preds) == 0 &&
 			s2.axis == AxisOverlapping && elementTest(s2.test) && len(s2.preds) == 0 {
-			estA := bucketSize(doc, s1.test)
-			estB := bucketSize(doc, s2.test)
+			estA := len(bucket(doc, s1.test))
+			estB := len(bucket(doc, s2.test))
 			if estA == 0 {
 				return &Plan{kind: planScan, test: s1.test, lines: []string{
 					fmt.Sprintf("empty: origin %s has no elements, result is empty", bucketLabel(s1.test)),
@@ -236,11 +241,13 @@ func probeNameOf(t nodeTest) string {
 	return ""
 }
 
-func bucketSize(doc *goddag.Document, t nodeTest) int {
+// bucket is the document-ordered element pool of an element test: the
+// name index for a name test, every element for *.
+func bucket(doc *goddag.Document, t nodeTest) []*goddag.Element {
 	if t.kind == testName {
-		return len(doc.ElementsNamed(t.name))
+		return doc.ElementsNamed(t.name)
 	}
-	return len(doc.Elements())
+	return doc.Elements()
 }
 
 func bucketLabel(t nodeTest) string {
@@ -493,7 +500,7 @@ func anyOverlapping(doc *goddag.Document, sp document.Span, name string) bool {
 func (ev *evaluator) nodeCursor(pl *Plan, vars Bindings) cursor {
 	switch pl.kind {
 	case planScan:
-		els := ev.bucket(pl.test)
+		els := bucket(ev.doc, pl.test)
 		if len(pl.preds) == 0 {
 			return &elemsCursor{els: els, lim: ev.lim}
 		}
@@ -501,16 +508,9 @@ func (ev *evaluator) nodeCursor(pl *Plan, vars Bindings) cursor {
 		// visit per expression), so predCursor needs no tick of its own.
 		return &predCursor{ev: ev, els: els, preds: pl.preds, vars: vars, pos: make([]int, len(pl.preds))}
 	case planSemiJoin:
-		return &semiJoinCursor{doc: ev.doc, els: ev.bucket(pl.outTest), probeName: pl.probeName, lim: ev.lim}
+		return &semiJoinCursor{doc: ev.doc, els: bucket(ev.doc, pl.outTest), probeName: pl.probeName, lim: ev.lim}
 	}
 	return nil
-}
-
-func (ev *evaluator) bucket(t nodeTest) []*goddag.Element {
-	if t.kind == testName {
-		return ev.doc.ElementsNamed(t.name)
-	}
-	return ev.doc.Elements()
 }
 
 // countPlan counts a streamable inner plan without materializing.
@@ -556,10 +556,11 @@ func (ev *evaluator) plannedExists(arg expr, ctx evalCtx) (bool, bool, error) {
 }
 
 // streamableArg plans a function argument when the planner is enabled
-// and the argument is a streamable absolute path. Absolute paths are
-// context-independent, so the clamp is valid at any evaluation position.
+// (not Options.Reference) and the argument is a streamable absolute
+// path. Absolute paths are context-independent, so the clamp is valid
+// at any evaluation position.
 func (ev *evaluator) streamableArg(arg expr) (*Plan, bool) {
-	if ev.opts.NoFastPaths || ev.opts.NoPlanner || ev.opts.OverlapByWalk {
+	if ev.opts.Reference {
 		return nil, false
 	}
 	p, ok := arg.(*pathExpr)

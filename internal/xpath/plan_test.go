@@ -15,8 +15,8 @@ import (
 // clamps, reversed overlap semi-joins), shapes it must recognize and
 // decline (positional predicates under '//', last() in a later stage),
 // and empty-bucket edge cases. Every query must produce identical
-// results with the planner on, the planner off, all fast paths off, and
-// the reference (unoptimized) compilation.
+// results with the planner on, under Options.Reference, and from the
+// reference (unoptimized) compilation under Options.Reference.
 var plannerQueries = []string{
 	// bare bucket scans, incl. a tag the corpus lacks
 	"//w", "//line", "//s", "//nosuch",
@@ -45,14 +45,15 @@ var plannerScalarQueries = []string{
 }
 
 // planConfigs are the evaluator configurations a planner-equivalence
-// test compares: full planner, planner ablated, everything ablated.
+// test compares: production (planner and indexed steps) and the
+// reference evaluator. Eval of a path never consults the planner and
+// Stream always does, so both halves of production meet the reference.
 var planConfigs = []struct {
 	name string
 	opts Options
 }{
 	{"planner", Options{}},
-	{"no-planner", Options{NoPlanner: true}},
-	{"no-fastpaths", Options{NoFastPaths: true}},
+	{"reference", Options{Reference: true}},
 }
 
 // collectStream drains a stream into a node slice through the lazy
@@ -82,9 +83,9 @@ func collectStream(t *testing.T, q *Query, doc *goddag.Document, opts Options) [
 
 // TestPlannerAgreesAcrossGrid runs the planner battery over the corpus
 // grid — hierarchies × overlap densities × default and multibyte
-// vocabularies — and demands byte-identical node-sets from the planned
-// evaluator, the unplanned evaluator, the fast-path-free evaluator, the
-// reference compilation, and the streaming API (full drain, first-k
+// vocabularies — and demands byte-identical node-sets from the
+// production evaluator, the reference evaluator, the reference
+// compilation, and the streaming API of both (full drain, first-k
 // clamp, and Count).
 func TestPlannerAgreesAcrossGrid(t *testing.T) {
 	vocabs := map[string][]string{"default": nil, "multibyte": corpus.MultibyteVocabulary}
@@ -96,7 +97,7 @@ func TestPlannerAgreesAcrossGrid(t *testing.T) {
 					for _, qs := range plannerQueries {
 						q := MustCompile(qs)
 						reference := compileReference(t, qs)
-						want, err := reference.EvalWithOptions(doc, Options{NoFastPaths: true})
+						want, err := reference.EvalWithOptions(doc, Options{Reference: true})
 						if err != nil {
 							t.Fatalf("%q reference: %v", qs, err)
 						}
@@ -160,7 +161,7 @@ func TestPlannerAgreesAcrossGrid(t *testing.T) {
 					}
 					for _, qs := range plannerScalarQueries {
 						q := MustCompile(qs)
-						want, err := compileReference(t, qs).EvalWithOptions(doc, Options{NoFastPaths: true})
+						want, err := compileReference(t, qs).EvalWithOptions(doc, Options{Reference: true})
 						if err != nil {
 							t.Fatalf("%q reference: %v", qs, err)
 						}

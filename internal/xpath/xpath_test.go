@@ -422,7 +422,7 @@ func TestWalkAndIntervalAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := q.EvalWithOptions(doc, Options{OverlapByWalk: true})
+		b, err := q.EvalWithOptions(doc, Options{Reference: true})
 		if err != nil {
 			t.Fatal(err)
 		}
