@@ -667,7 +667,6 @@ func (ev *evaluator) stepFrom(st step, indexed bool, n goddag.Node, vars Binding
 	if len(st.preds) == 0 {
 		return cands, nil
 	}
-	reverse := st.axis == AxisPreceding
 	switch st.axis {
 	case AxisPreceding:
 		cands = reverseNodes(ev.dedupSort(cands))
@@ -689,7 +688,7 @@ func (ev *evaluator) stepFrom(st step, indexed bool, n goddag.Node, vars Binding
 		}
 		cands = kept
 	}
-	if reverse {
+	if st.axis == AxisPreceding {
 		reverseNodes(cands)
 	}
 	return cands, nil
