@@ -645,8 +645,10 @@ func (ev *evaluator) evalStep(st step, current []goddag.Node, vars Bindings) ([]
 // candidates in proximity order (XPath 1.0 §2.4): document order on a
 // forward axis, nearest-first on a reverse one. Most enumerations
 // already come in that order (the ancestor and preceding-sibling climbs
-// nearest-first); following and covered list elements before leaves,
-// and the preceding axis counts backwards through document order.
+// nearest-first). The indexed following, preceding and covered scans
+// come in document order from their bucket; materialized, those axes
+// list elements before leaves and are sorted first. The preceding axis
+// counts backwards through document order.
 func (ev *evaluator) stepFrom(st step, indexed bool, n goddag.Node, vars Bindings) ([]goddag.Node, error) {
 	var cands []goddag.Node
 	if indexed {
@@ -668,10 +670,13 @@ func (ev *evaluator) stepFrom(st step, indexed bool, n goddag.Node, vars Binding
 		return cands, nil
 	}
 	switch st.axis {
-	case AxisPreceding:
-		cands = reverseNodes(ev.dedupSort(cands))
-	case AxisFollowing, AxisCovered:
-		cands = ev.dedupSort(cands)
+	case AxisFollowing, AxisPreceding, AxisCovered:
+		if !indexed {
+			cands = ev.dedupSort(cands)
+		}
+	}
+	if st.axis == AxisPreceding {
+		reverseNodes(cands)
 	}
 	for _, pred := range st.preds {
 		var kept []goddag.Node
@@ -722,8 +727,11 @@ func (ev *evaluator) indexed(st step) bool {
 // indexedCands produces the candidate list for one origin node of a
 // step that indexed accepted, from the name buckets, pre-order subtree
 // slices, span windows and parent chains instead of a materialized
-// axis. The order matches what axisNodes + filterTest would produce, so
-// positional predicates are unaffected.
+// axis. On child, descendant and ancestor the order matches what
+// axisNodes + filterTest would produce; following, preceding and
+// covered come in the bucket's document order. Either way it is the
+// order stepFrom numbers positional predicates in (after reversing
+// preceding).
 func (ev *evaluator) indexedCands(st step, n goddag.Node) []goddag.Node {
 	match := func(e *goddag.Element) bool {
 		return st.test.kind == testAny || e.Name() == st.test.name
