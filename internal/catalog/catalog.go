@@ -227,12 +227,6 @@ type entry struct {
 	wal      *store.WAL
 	replayed uint64 // WAL records applied into this document at load
 
-	// fp caches the document's persisted-state fingerprint (the WAL
-	// record pre-state stamp) so back-to-back edit batches do not pay an
-	// encode pass each to recompute it. Guarded by rw (write side).
-	fp      uint32
-	fpValid bool
-
 	// Degradation state (guarded by Catalog.mu): consecutive failed
 	// persists; at the catalog's FailThreshold the document becomes
 	// read-only until restart.

@@ -9,11 +9,17 @@
 // open's replay. Replay re-applies op batches through the transaction
 // API, gated on each record's pre-state fingerprint so a batch that
 // already reached the saved base (crash between the save's rename and
-// the log reset) is skipped, never applied twice.
+// the log reset) is skipped, never applied twice. The fingerprint is
+// store.ImageFingerprint of the pre-state's v3 image, which commit and
+// replay both take from the session, never from file bytes. Replay
+// still reads earlier versions' RecordOps records, with their v2 gate.
 //
 // Undo and Redo apply first and then log a snapshot record: the v3
 // image the session kept of the restored state, which the save writes
-// too. A commit builds at most one v3 image (none for a history move).
+// too. A commit builds at most one v3 image (none for a history move),
+// the committed state's for the save. The pre-state's image, which the
+// WAL stamp and the transaction share, stays cached from the previous
+// save; only the first commit after a load encodes it.
 //
 // A disk that keeps failing degrades service instead of wedging it:
 // FailThreshold consecutive failed persists turn the document
@@ -83,9 +89,11 @@ func (c *Catalog) endEdit(e *entry) {
 // <id>.wal and fsynced BEFORE it is applied, so once UpdateBatch
 // returns nil the edit survives a crash at any later point — even if
 // the save to <id>.gdag fails (the entry is then dirty and the log
-// replays the batch on the next open). A vetoed batch (returned as a
-// *editor.BatchError) changes nothing and its provisional log record is
-// dropped. post, if non-nil, runs with the committed document still
+// replays the batch on the next open). The record's stamp is the
+// fingerprint of the session's pre-state image, the one the
+// transaction's Begin uses, so it adds no encode. A vetoed batch
+// (returned as a *editor.BatchError) changes nothing and its
+// provisional log record is dropped. post, if non-nil, runs with the committed document still
 // under its write lock — a snapshot hook for collecting response
 // statistics; the document must not escape it.
 func (c *Catalog) UpdateBatch(id string, ops []editor.Op, post func(*core.Document)) error {
@@ -108,9 +116,11 @@ func (c *Catalog) UpdateBatchContext(ctx context.Context, id string, ops []edito
 		walDurable := false
 		var mark int64
 		if w := c.walFor(e); w != nil {
-			if payload, err := json.Marshal(editor.Batch{Ops: ops}); err == nil {
+			payload, err := json.Marshal(editor.Batch{Ops: ops})
+			pre, ierr := doc.Edit().Image()
+			if err == nil && ierr == nil {
 				mark = w.Size()
-				walDurable = c.walAppend(w, store.RecordOps, c.fingerprint(e, doc), payload)
+				walDurable = c.walAppend(w, store.RecordBatch, store.ImageFingerprint(pre), payload)
 			}
 		}
 
@@ -194,11 +204,10 @@ func (c *Catalog) walAppend(w *store.WAL, kind store.RecordKind, pre uint32, pay
 // persistCommit finishes a committed edit: save with retries, reset the
 // WAL on success, account the failure streaks, re-account the memory
 // footprint. A save failure is reported only when the WAL did not make
-// the edit durable: the fsynced record is the commit point.
+// the edit durable: the fsynced record is the commit point. The save
+// encodes the committed state's v3 image, which the session keeps: it
+// is the next batch's pre-state image and stamp.
 func (c *Catalog) persistCommit(e *entry, doc *core.Document, walDurable bool, post func(*core.Document)) error {
-	// The committed state is the pre-state of the next logged batch;
-	// recompute the cached fingerprint lazily.
-	e.fpValid = false
 	savePath := filepath.Join(c.dir, e.id+".gdag")
 	saveErr := c.saveWithRetry(savePath, doc.Edit())
 	if saveErr == nil && e.wal != nil && !e.wal.Empty() {
@@ -311,25 +320,16 @@ func (c *Catalog) walFor(e *entry) *store.WAL {
 	return e.wal
 }
 
-// fingerprint returns the persisted-state fingerprint of the document,
-// cached across back-to-back batches (each commit invalidates it).
-// Called under the entry's write lock.
-func (c *Catalog) fingerprint(e *entry, doc *core.Document) uint32 {
-	if !e.fpValid {
-		e.fp = store.Fingerprint(doc.GODDAG())
-		e.fpValid = true
-	}
-	return e.fp
-}
-
 // recover opens the document's WAL inside the (singleflight) load and
 // replays any records a crash left behind: op batches re-apply through
 // the transaction API when their pre-state fingerprint matches the
 // current state (skipped otherwise — they already reached the saved
 // base, or were vetoed and re-veto identically), snapshots replace the
-// document wholesale. A non-empty log is then converged: the recovered
-// state is saved and the log reset; if the save fails the document
-// serves the recovered state dirty, with the log intact.
+// document wholesale. A RecordBatch's gate encodes the current state's
+// v3 image, which the batch's Begin then reuses. A non-empty log is
+// then converged: the recovered state is saved and the log reset; if
+// the save fails the document serves the recovered state dirty, with
+// the log intact.
 func (c *Catalog) recover(e *entry, doc *core.Document) (*core.Document, error) {
 	if e.wal != nil {
 		// Already open from a previous load: its records were replayed
@@ -359,24 +359,23 @@ func (c *Catalog) recover(e *entry, doc *core.Document) (*core.Document, error) 
 			}
 			doc = nd
 			applied++
+		case store.RecordBatch:
+			// Exactly-once gate: a stale record (its batch already in the
+			// saved base) does not match.
+			if img, err := doc.Edit().Image(); err == nil && store.ImageFingerprint(img) == r.Pre && replayBatch(doc, r.Payload) {
+				applied++
+			}
 		case store.RecordOps:
-			if store.Fingerprint(doc.GODDAG()) != r.Pre {
-				continue // already in the saved base; exactly-once gate
+			if store.Fingerprint(doc.GODDAG()) == r.Pre && replayBatch(doc, r.Payload) {
+				applied++
 			}
-			var b editor.Batch
-			if json.Unmarshal(r.Payload, &b) != nil {
-				continue
-			}
-			if doc.Edit().ApplyBatch(b.Ops) != nil {
-				continue // deterministic re-veto: the original commit vetoed too
-			}
-			applied++
 		}
 	}
 
 	// Replayed batches are not undoable: history starts at the recovered
-	// state, as it does after any load.
-	doc = core.FromGODDAG(doc.GODDAG())
+	// state, as it does after any load. The session keeps its image, so
+	// the converge save below encodes only if the last record applied.
+	doc.Edit().ClearHistory()
 
 	// Converge: persist the recovered state and retire the log.
 	savePath := filepath.Join(c.dir, e.id+".gdag")
@@ -398,4 +397,12 @@ func (c *Catalog) recover(e *entry, doc *core.Document) (*core.Document, error) 
 		_ = e.wal.Reset()
 	}
 	return doc, nil
+}
+
+// replayBatch re-applies one logged op batch, reporting whether it
+// applied. A vetoed batch re-vetoes deterministically: its original
+// commit vetoed too.
+func replayBatch(doc *core.Document, payload []byte) bool {
+	var b editor.Batch
+	return json.Unmarshal(payload, &b) == nil && doc.Edit().ApplyBatch(b.Ops) == nil
 }

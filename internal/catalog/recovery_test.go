@@ -1,8 +1,12 @@
 package catalog
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,7 +20,9 @@ import (
 	"repro/internal/document"
 	"repro/internal/editor"
 	"repro/internal/faultfs"
+	"repro/internal/goddag"
 	"repro/internal/store"
+	"repro/internal/validate"
 )
 
 // writePlainDir builds a catalog directory holding one tiny ASCII
@@ -482,4 +488,295 @@ func BenchmarkRecovery(b *testing.B) {
 			}
 		})
 	}
+}
+
+// orderedBatches are three op batches on the plain document; the third
+// addresses the second element the first two insert, so it applies only
+// after them.
+var orderedBatches = [][]editor.Op{
+	{{Op: "insert-markup", Hierarchy: "edits", Tag: "edit", Start: 0, End: 3}},
+	{{Op: "insert-markup", Hierarchy: "edits", Tag: "edit", Start: 4, End: 9}},
+	{{Op: "set-attr", Hierarchy: "edits", Index: 1, Name: "status", Value: "committed"}},
+}
+
+// plainBase returns a detached copy of the plain document's initial
+// state, loaded without touching the directory's log.
+func plainBase(t *testing.T, dir string) *goddag.Document {
+	t.Helper()
+	c, err := Open(dir, Options{DisableWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := c.Get("plain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decodeImage(t, imageOf(t, doc.GODDAG()))
+}
+
+// writeGdagBase replaces the plain document's source with a .gdag file
+// holding img.
+func writeGdagBase(t *testing.T, dir string, img []byte) {
+	t.Helper()
+	if err := os.Remove(filepath.Join(dir, "plain.xml")); err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "plain.gdag"), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeLegacyWAL logs batches onto base as versions before RecordBatch
+// did: a version-1 segment of RecordOps records, each stamped with
+// store.Fingerprint of its pre-state. It returns the post-state.
+func writeLegacyWAL(t *testing.T, dir string, base *goddag.Document, batches [][]editor.Op) *goddag.Document {
+	t.Helper()
+	path := filepath.Join(dir, "plain.wal")
+	w, _, err := store.OpenWAL(faultfs.OS, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	s := editor.NewSession(base, validate.NewSchema(), editor.Options{})
+	for _, ops := range batches {
+		payload, err := json.Marshal(editor.Batch{Ops: ops})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(store.RecordOps, store.Fingerprint(s.Document()), payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ApplyBatch(ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v := walBytes(t, dir)[4]; v != 1 {
+		t.Fatalf("legacy segment has header version %d, want 1", v)
+	}
+	return s.Document()
+}
+
+// walBytes reads the plain document's log segment.
+func walBytes(t *testing.T, dir string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "plain.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// walKinds lists the kinds of the plain document's logged records.
+func walKinds(t *testing.T, dir string) string {
+	t.Helper()
+	recs, _ := store.ScanWALRecords(walBytes(t, dir)[store.WALHeaderLen:])
+	var kinds []byte
+	for _, r := range recs {
+		kinds = append(kinds, byte(r.Kind))
+	}
+	return string(kinds)
+}
+
+// failGdagRenames makes every save fail at its rename; the log stays
+// writable.
+func failGdagRenames(op faultfs.Op, p string) error {
+	if op == faultfs.OpRename && strings.HasSuffix(p, ".gdag") {
+		return errors.New("injected: EIO")
+	}
+	return nil
+}
+
+// reopenPlain opens dir on a healthy disk and requires the plain
+// document to hold the first n of orderedBatches' effects, after
+// replaying exactly replayed records and resetting the log.
+func reopenPlain(t *testing.T, dir string, n int, replayed uint64) {
+	t.Helper()
+	c, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := c.Get("plain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEdits, wantStatus := min(n, 2), 0
+	if n == 3 {
+		wantStatus = 1
+	}
+	edits := doc.GODDAG().ElementsNamed("edit")
+	status := 0
+	for _, el := range edits {
+		if v, ok := el.Attr("status"); ok && v == "committed" {
+			status++
+		}
+	}
+	if len(edits) != wantEdits || status != wantStatus {
+		t.Fatalf("recovered %d edit elements (%d with status), want %d (%d)", len(edits), status, wantEdits, wantStatus)
+	}
+	if s := c.Stats(); s.Replayed != replayed {
+		t.Fatalf("replayed %d records, want %d", s.Replayed, replayed)
+	}
+	if got := len(walBytes(t, dir)); got != store.WALHeaderLen {
+		t.Fatalf("log is %d bytes after recovery, want %d", got, store.WALHeaderLen)
+	}
+}
+
+// TestStaleBatchRecordsSkipped crashes after a save's rename and before
+// its log reset, with earlier records of failed saves still in the log:
+// the saved base already holds every logged batch, so replay must skip
+// all the stale RecordBatch records and each batch applies exactly once.
+func TestStaleBatchRecordsSkipped(t *testing.T) {
+	dir := writePlainDir(t, "plain")
+	inj := faultfs.NewInjector(faultfs.OS)
+	c, err := Open(dir, fastOpts(inj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.SetHook(failGdagRenames)
+	for _, ops := range orderedBatches[:2] {
+		if err := c.UpdateBatch("plain", ops, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj.SetHook(crashAt(func(op faultfs.Op, p string) bool { return op == faultfs.OpTruncate && isWAL(p) }, errors.New("injected: EIO")))
+	if err := c.UpdateBatch("plain", orderedBatches[2], nil); err != nil {
+		t.Fatal(err)
+	}
+	if kinds := walKinds(t, dir); kinds != "BBB" {
+		t.Fatalf("log holds records %q, want three RecordBatch", kinds)
+	}
+	reopenPlain(t, dir, 3, 0)
+}
+
+// TestLegacyOpsRecordsReplayExactlyOnce replays a segment of RecordOps
+// records as earlier versions wrote it, onto the base they were logged
+// against, and in the crash window where the save of their post-state
+// landed but the log reset did not. Each batch applies exactly once.
+func TestLegacyOpsRecordsReplayExactlyOnce(t *testing.T) {
+	for _, saved := range []bool{false, true} {
+		t.Run(fmt.Sprintf("saved=%v", saved), func(t *testing.T) {
+			dir := writePlainDir(t, "plain")
+			base := plainBase(t, dir)
+			writeGdagBase(t, dir, imageOf(t, base))
+			post := writeLegacyWAL(t, dir, decodeImage(t, imageOf(t, base)), orderedBatches)
+			replayed := uint64(3)
+			if saved {
+				writeGdagBase(t, dir, imageOf(t, post))
+				replayed = 0
+			}
+			reopenPlain(t, dir, 3, replayed)
+		})
+	}
+}
+
+// TestMixedSegmentReplaysInOrder upgrades onto a legacy log whose
+// converge save fails: the recovered document takes a new batch, so the
+// segment holds RecordOps records followed by a RecordBatch (and has
+// become version 2). A later open replays all three in order.
+func TestMixedSegmentReplaysInOrder(t *testing.T) {
+	dir := writePlainDir(t, "plain")
+	base := plainBase(t, dir)
+	writeGdagBase(t, dir, imageOf(t, base))
+	writeLegacyWAL(t, dir, decodeImage(t, imageOf(t, base)), orderedBatches[:2])
+
+	inj := faultfs.NewInjector(faultfs.OS)
+	inj.SetHook(failGdagRenames)
+	c, err := Open(dir, fastOpts(inj)) // recovers eagerly; the converge save fails
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds, _ := c.Doc("plain"); !ds.Dirty {
+		t.Fatalf("converge save did not fail: %+v", ds)
+	}
+	if err := c.UpdateBatch("plain", orderedBatches[2], nil); err != nil {
+		t.Fatal(err)
+	}
+	if kinds := walKinds(t, dir); kinds != "OOB" {
+		t.Fatalf("log holds records %q, want two RecordOps then a RecordBatch", kinds)
+	}
+	if v := walBytes(t, dir)[4]; v != 2 {
+		t.Fatalf("mixed segment has header version %d, want 2", v)
+	}
+	reopenPlain(t, dir, 3, 3)
+}
+
+// TestNonCanonicalV3BaseReplays logs a batch against a .gdag whose
+// bytes differ from MarshalV3 of its own decode, as a v3 file written
+// by an older encoder can: its name buckets are stored in reverse
+// order, with the section and directory CRCs recomputed. Both sides of
+// the exactly-once gate fingerprint the session's image of the decoded
+// state, not the file, so the record replays.
+func TestNonCanonicalV3BaseReplays(t *testing.T) {
+	dir := writePlainDir(t, "plain")
+	// A second tag gives the base a second name bucket to reorder.
+	s := editor.NewSession(plainBase(t, dir), validate.NewSchema(), editor.Options{})
+	if err := s.ApplyBatch([]editor.Op{{Op: "insert-markup", Hierarchy: "notes", Tag: "note", Start: 0, End: 9}}); err != nil {
+		t.Fatal(err)
+	}
+	file := reverseBuckets(t, imageOf(t, s.Document()))
+	if bytes.Equal(imageOf(t, decodeImage(t, file)), file) {
+		t.Fatal("patched base is canonical; the test would not tell file bytes from the image")
+	}
+	writeGdagBase(t, dir, file)
+
+	inj := faultfs.NewInjector(faultfs.OS)
+	c, err := Open(dir, fastOpts(inj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.SetHook(failGdagRenames)
+	if err := c.UpdateBatch("plain", orderedBatches[0], nil); err != nil {
+		t.Fatal(err)
+	}
+	reopenPlain(t, dir, 1, 1)
+}
+
+// reverseBuckets rewrites a v3 image's name-bucket section (id 19: a
+// bucket count, {tag, size} pairs, then the concatenated positions)
+// with the buckets in reverse order, and recomputes the section's
+// CRC-32C and the directory CRC. The image still opens to the same
+// document; re-encoding that document sorts the buckets again.
+func reverseBuckets(t *testing.T, img []byte) []byte {
+	t.Helper()
+	const secBuckets = 19
+	img = append([]byte(nil), img...)
+	le := binary.LittleEndian
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	nsec := int(le.Uint32(img[8:]))
+	for i := 0; i < nsec; i++ {
+		e := img[16+24*i:]
+		if le.Uint32(e) != secBuckets {
+			continue
+		}
+		off := le.Uint64(e[8:])
+		sec := img[off : off+uint64(le.Uint32(e[4:]))]
+		u := make([]uint32, len(sec)/4)
+		for k := range u {
+			u[k] = le.Uint32(sec[4*k:])
+		}
+		nb := int(u[0])
+		if nb < 2 {
+			t.Fatalf("%d name buckets; need two to reorder", nb)
+		}
+		runs := make([][]uint32, nb)
+		p := 1 + 2*nb
+		for b := range runs {
+			runs[b] = u[p : p+int(u[2+2*b])]
+			p += len(runs[b])
+		}
+		out := []uint32{uint32(nb)}
+		for b := nb - 1; b >= 0; b-- {
+			out = append(out, u[1+2*b], u[2+2*b])
+		}
+		for b := nb - 1; b >= 0; b-- {
+			out = append(out, runs[b]...)
+		}
+		for k, v := range out {
+			le.PutUint32(sec[4*k:], v)
+		}
+		le.PutUint32(e[16:], crc32.Checksum(sec, castagnoli))
+	}
+	dirEnd := 16 + 24*nsec
+	le.PutUint32(img[dirEnd:], crc32.Checksum(img[:dirEnd], castagnoli))
+	return img
 }

@@ -191,14 +191,15 @@ func (d *Document) Filter(hierarchies ...string) (*Document, error) {
 // Stats summarizes the document.
 func (d *Document) Stats() goddag.Stats { return d.GODDAG().Stats() }
 
-// Save writes the document in the compact binary GODDAG format (package
-// store) — the persistent-storage component the paper lists as ongoing
-// work. DTDs are not stored; reattach them after Load.
+// Save writes the document as a v3 .gdag image (package store's
+// section-table format, the one the catalog and cxparse -save write) —
+// the persistent-storage component the paper lists as ongoing work.
+// DTDs are not stored; reattach them after Load.
 func (d *Document) Save(w io.Writer) error {
-	return store.Encode(w, d.GODDAG())
+	return store.EncodeV3(w, d.GODDAG())
 }
 
-// Load reads a document saved with Save.
+// Load reads a document saved with Save, or a legacy v2 stream.
 func Load(r io.Reader) (*Document, error) {
 	g, err := store.Decode(r)
 	if err != nil {

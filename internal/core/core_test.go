@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"repro/internal/document"
 	"repro/internal/drivers"
+	"repro/internal/goddag"
 	"repro/internal/sacx"
 	"repro/internal/validate"
 )
@@ -176,6 +178,29 @@ func TestExportDistributedKeys(t *testing.T) {
 		if !strings.HasPrefix(string(out[k]), "<r") {
 			t.Errorf("output %s does not start with root: %s", k, out[k])
 		}
+	}
+}
+
+// TestSaveWritesV3 pins Save to the v3 section-table format and checks
+// that Load reads it back to the same document.
+func TestSaveWritesV3(t *testing.T) {
+	doc := twoHier(t)
+	if _, err := doc.Edit().InsertMarkup("a", "x", spanOf(4, 7), goddag.Attr{Name: "k", Value: "v"}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := doc.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if head := buf.Bytes()[:5]; string(head) != "GDAG\x03" {
+		t.Fatalf("Save wrote header %q, want GDAG version 3", head)
+	}
+	back, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := goddag.Dump(back.GODDAG()), goddag.Dump(doc.GODDAG()); got != want {
+		t.Fatalf("loaded document differs:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -217,6 +217,10 @@ func (s *Session) push(pre []byte) {
 	s.redo = nil
 }
 
+// ClearHistory empties the undo and redo stacks, keeping the document
+// and its cached image: history starts afresh at the current state.
+func (s *Session) ClearHistory() { s.undo, s.redo = nil, nil }
+
 // CanUndo reports whether Undo would succeed.
 func (s *Session) CanUndo() bool { return len(s.undo) > 0 && s.tx == nil }
 

@@ -47,9 +47,11 @@ func FuzzDecode(f *testing.F) {
 	var wal []byte
 	wal = appendFrame(wal, RecordOps, 0xdeadbeef, []byte(`{"ops":[{"op":"set-attr","hierarchy":"words","index":0,"name":"k","value":"v"}]}`))
 	wal = appendFrame(wal, RecordSnapshot, 0, gdag.Bytes())
+	wal = appendFrame(wal, RecordBatch, 0xfeedface, []byte(`{"ops":[]}`))
 	f.Add(wal)
 	f.Add(wal[:len(wal)-3])
 	f.Add([]byte("GWAL\x01"))
+	f.Add([]byte("GWAL\x02"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -77,7 +79,7 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("valid prefix rescans to %d records, was %d", len(re), len(recs))
 		}
 		for _, r := range recs {
-			if r.Kind != RecordOps && r.Kind != RecordSnapshot {
+			if r.Kind != RecordBatch && r.Kind != RecordOps && r.Kind != RecordSnapshot {
 				t.Fatalf("scan surfaced unknown record kind %q", r.Kind)
 			}
 		}

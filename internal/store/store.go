@@ -38,9 +38,11 @@
 // compatibility) falls back to the general InsertElement replay; the two
 // paths build identical structures.
 //
-// Encode still writes v2 — WAL fingerprints hash a v2 stream, and older
-// WAL snapshot records hold one — while the saves write v3, so any v2
-// file migrates to v3 on its next save.
+// Every writer of documents writes v3 (Save, core.Document.Save, the
+// catalog's saves and WAL snapshots), so any v2 file migrates to v3 on
+// its next save. Encode still writes v2 for one live reader, the legacy
+// WAL fingerprint (Fingerprint), which gates RecordOps records that
+// earlier versions logged, and for tests that need v2 bytes.
 package store
 
 import (
@@ -67,7 +69,8 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Encode writes doc to w in the binary GODDAG format.
+// Encode writes doc to w in the legacy v2 stream format; documents are
+// saved as v3 (EncodeV3). See the package comment for its remaining use.
 func Encode(w io.Writer, doc *goddag.Document) error {
 	bw := bufio.NewWriter(w)
 	h := crc32.New(crcTable)

@@ -10,10 +10,11 @@
 //
 // Segment layout:
 //
-//	header:  magic "GWAL", version byte
-//	records: kind byte ('O' op batch JSON, 'S' full-document snapshot:
-//	         a v3 image, or a v2 stream in segments written before v3),
-//	         pre-state fingerprint (4 bytes BE, see Fingerprint),
+//	header:  magic "GWAL", version byte (1 or 2, see below)
+//	records: kind byte ('B' op batch JSON, 'O' legacy op batch JSON,
+//	         'S' full-document snapshot: a v3 image, or a v2 stream in
+//	         segments written before v3),
+//	         pre-state fingerprint (4 bytes BE; zero for snapshots),
 //	         payload length (uvarint), payload,
 //	         CRC-32 (Castagnoli) of everything since the kind byte (4 bytes BE)
 //
@@ -29,8 +30,25 @@
 // small window where the save's rename committed but the log reset did
 // not (or the rename's directory sync failed), the stale records'
 // fingerprints no longer match the saved base and replay skips them
-// instead of applying the batch twice. Snapshot records carry the
-// post-state document wholesale and need no fingerprint.
+// instead of applying the batch twice. A RecordBatch is stamped with
+// ImageFingerprint of the pre-state's v3 image, which the editing
+// session already holds. A legacy RecordOps record, which earlier
+// versions wrote and replay still reads, is stamped with Fingerprint, a
+// CRC of the pre-state's v2 encoding. Both stamps are functions of the
+// document state: each side of the gate computes its stamp from a
+// document, never from file bytes, so a base file that differs from
+// MarshalV3 of its own decode still gates correctly. Snapshot records
+// carry the post-state document wholesale and need no fingerprint.
+//
+// Versions: readers from before RecordBatch accept only header version
+// 1 and stop their scan at an unknown kind, truncating the rest as a
+// torn tail; they would silently drop acknowledged edits. So the first
+// RecordBatch appended to a version-1 segment first rewrites the header
+// as version 2 (fsynced), which those readers reject, failing the load
+// instead. Fresh segments start at version 1 and Reset keeps the
+// version. To downgrade, converge every log (an empty segment is
+// WALHeaderLen bytes) and delete the .wal files. OpenWAL reads both
+// versions.
 //
 // A WAL is single-writer: the catalog serializes appends under each
 // document's write lock. Appends that fail part-way rewind the file to
@@ -50,8 +68,10 @@ import (
 
 // WAL segment format constants.
 const (
-	walMagic   = "GWAL"
-	walVersion = 1
+	walMagic = "GWAL"
+	// A version-1 segment holds no RecordBatch; a version-2 one may.
+	walVersion1 = 1
+	walVersion2 = 2
 
 	// WALHeaderLen is the byte length of the segment header; an empty
 	// (fully truncated) log is exactly this long.
@@ -63,10 +83,15 @@ type RecordKind byte
 
 // The record kinds.
 const (
-	// RecordOps is a serialized editor op batch (editor.Batch JSON, the
-	// same bytes the HTTP edit endpoint accepts), logged before the
-	// batch is applied. Replay re-applies it through the transaction
-	// API when the pre-state fingerprint matches.
+	// RecordBatch is a serialized editor op batch (editor.Batch JSON,
+	// the same bytes the HTTP edit endpoint accepts), logged before the
+	// batch is applied and stamped with ImageFingerprint of the
+	// pre-state's v3 image. Replay re-applies it through the
+	// transaction API when the stamp matches.
+	RecordBatch RecordKind = 'B'
+	// RecordOps is the legacy op-batch record: the same payload stamped
+	// with Fingerprint (v2). Earlier versions wrote it; replay still
+	// reads it, with the v2 gate.
 	RecordOps RecordKind = 'O'
 	// RecordSnapshot is a full document as a v3 image (MarshalV3),
 	// logged after an undo or redo, whose effect is not an op batch.
@@ -80,7 +105,8 @@ const (
 type Record struct {
 	Kind RecordKind
 	// Pre is the fingerprint of the document state the record was
-	// logged against (RecordOps only).
+	// logged against: ImageFingerprint of its v3 image for RecordBatch,
+	// Fingerprint for RecordOps, zero for RecordSnapshot.
 	Pre uint32
 	// Payload is the record body: editor.Batch JSON or a .gdag image.
 	Payload []byte
@@ -88,10 +114,11 @@ type Record struct {
 
 // WAL is one open write-ahead log segment.
 type WAL struct {
-	fsys faultfs.FS
-	path string
-	f    faultfs.File
-	size int64 // header + complete durable records
+	fsys    faultfs.FS
+	path    string
+	f       faultfs.File
+	size    int64 // header + complete durable records
+	version byte  // header version byte on disk
 }
 
 // maxWALRecord bounds a single record payload against corrupted length
@@ -121,10 +148,11 @@ func OpenWAL(fsys faultfs.FS, path string) (*WAL, []Record, error) {
 		}
 		return w, nil, nil
 	}
-	if string(data[:4]) != walMagic || data[4] != walVersion {
+	if string(data[:4]) != walMagic || (data[4] != walVersion1 && data[4] != walVersion2) {
 		f.Close()
 		return nil, nil, fmt.Errorf("store: wal %s: bad header %q version %d", path, data[:4], data[4])
 	}
+	w.version = data[4]
 	recs, good := ScanWALRecords(data[WALHeaderLen:])
 	w.size = WALHeaderLen + good
 	if int64(len(data)) > w.size {
@@ -153,7 +181,7 @@ func ScanWALRecords(data []byte) ([]Record, int64) {
 			break
 		}
 		kind := RecordKind(rest[0])
-		if kind != RecordOps && kind != RecordSnapshot {
+		if kind != RecordBatch && kind != RecordOps && kind != RecordSnapshot {
 			break
 		}
 		pre := binary.BigEndian.Uint32(rest[1:5])
@@ -187,7 +215,8 @@ func appendFrame(dst []byte, kind RecordKind, pre uint32, payload []byte) []byte
 	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
 }
 
-// reinit truncates the segment to empty and writes a fresh header.
+// reinit truncates the segment to empty and writes a fresh version-1
+// header: until a RecordBatch is appended, every reader can open it.
 func (w *WAL) reinit() error {
 	if err := w.fsys.Truncate(w.path, 0); err != nil {
 		return fmt.Errorf("store: wal %s: %w", w.path, err)
@@ -195,14 +224,31 @@ func (w *WAL) reinit() error {
 	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("store: wal %s: %w", w.path, err)
 	}
-	hdr := append([]byte(walMagic), walVersion)
+	hdr := append([]byte(walMagic), walVersion1)
 	if _, err := w.f.Write(hdr); err != nil {
 		return fmt.Errorf("store: wal %s: %w", w.path, err)
 	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("store: wal %s: %w", w.path, err)
 	}
-	w.size = WALHeaderLen
+	w.size, w.version = WALHeaderLen, walVersion1
+	return nil
+}
+
+// upgrade rewrites a version-1 header as version 2 and fsyncs it, so
+// that readers which cannot parse RecordBatch reject the segment
+// before one is appended (see the package comment).
+func (w *WAL) upgrade() error {
+	if _, err := w.f.Seek(int64(len(walMagic)), io.SeekStart); err != nil {
+		return fmt.Errorf("store: wal %s: upgrade: %w", w.path, err)
+	}
+	if _, err := w.f.Write([]byte{walVersion2}); err != nil {
+		return fmt.Errorf("store: wal %s: upgrade: %w", w.path, err)
+	}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("store: wal %s: upgrade: %w", w.path, err)
+	}
+	w.version = walVersion2
 	return nil
 }
 
@@ -221,8 +267,14 @@ func (w *WAL) Path() string { return w.path }
 // caller must treat the record as NOT logged: after a write or sync
 // error the on-disk state is indeterminate until the rewind, which
 // restores it. Only a successful Append makes the record durable — it
-// is the commit point of the logged-edit path.
+// is the commit point of the logged-edit path. The first RecordBatch
+// appended to a version-1 segment upgrades its header first.
 func (w *WAL) Append(kind RecordKind, pre uint32, payload []byte) error {
+	if kind == RecordBatch && w.version != walVersion2 {
+		if err := w.upgrade(); err != nil {
+			return err
+		}
+	}
 	frame := appendFrame(make([]byte, 0, 1+4+binary.MaxVarintLen64+len(payload)+4), kind, pre, payload)
 	if _, err := w.f.Seek(w.size, io.SeekStart); err != nil {
 		return fmt.Errorf("store: wal append: %w", err)
@@ -281,11 +333,27 @@ func (w *WAL) Reset() error {
 // next open.
 func (w *WAL) Close() error { return w.f.Close() }
 
-// Fingerprint summarizes a document's exact persisted state: the
-// CRC-32 (Castagnoli) of its deterministic Encode stream. The WAL
-// stamps each op-batch record with the fingerprint of the state the
-// batch was logged against, so replay is exactly-once (see the package
-// comment). Cost is one encode pass with no I/O.
+// ImageFingerprint is the pre-state stamp of a RecordBatch: the
+// directory CRC that MarshalV3 writes after the section table of img.
+// That CRC covers the header and every section's id, length, offset and
+// CRC-32C, so it changes with any section whose CRC-32C does; reading
+// it is O(1). A slice too short to hold the directory its header announces is
+// not a MarshalV3 image and is fingerprinted by a CRC over all of it.
+func ImageFingerprint(img []byte) uint32 {
+	if len(img) >= v3HeaderLen {
+		if nsec := binary.LittleEndian.Uint32(img[8:]); nsec <= v3MaxSections {
+			if dirEnd := v3HeaderLen + int(nsec)*v3EntryLen; len(img) >= dirEnd+4 {
+				return binary.LittleEndian.Uint32(img[dirEnd:])
+			}
+		}
+	}
+	return crc32.Checksum(img, crcTable)
+}
+
+// Fingerprint is the legacy RecordOps stamp: the CRC-32 (Castagnoli) of
+// the document's deterministic v2 Encode stream. Replay still computes
+// it to gate RecordOps records that earlier versions logged. Cost is
+// one v2 encode pass with no I/O.
 func Fingerprint(doc *goddag.Document) uint32 {
 	h := crc32.New(crcTable)
 	// Encode to the hash alone: bufio over a hash cannot fail.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/faultfs"
+	"repro/internal/goddag"
 )
 
 // BenchmarkWALAppend measures the durable cost of logging one edit
@@ -55,19 +56,43 @@ func BenchmarkSaveOnCommit(b *testing.B) {
 	}
 }
 
-// BenchmarkFingerprint measures the exactly-once-replay stamp: one
-// encode pass with no I/O over the same words=8000/h=4 document.
+// fingerprintSink keeps the fingerprint benchmarks' results live.
+var fingerprintSink uint32
+
+// BenchmarkFingerprint measures the legacy RecordOps replay gate: one
+// v2 encode pass with no I/O over a words=8000/h=4 document. Only
+// replay of records logged by earlier versions pays it.
 func BenchmarkFingerprint(b *testing.B) {
+	doc := fingerprintDoc(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fingerprintSink = Fingerprint(doc)
+	}
+}
+
+// BenchmarkImageFingerprint measures the RecordBatch stamp every logged
+// commit and replayed record pays: reading the directory CRC of the
+// same document's v3 image, which the editing session already holds.
+func BenchmarkImageFingerprint(b *testing.B) {
+	img, err := MarshalV3(fingerprintDoc(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fingerprintSink = ImageFingerprint(img)
+	}
+}
+
+// fingerprintDoc is the words=8000/h=4 document both fingerprint
+// benchmarks stamp.
+func fingerprintDoc(b *testing.B) *goddag.Document {
 	cfg := corpus.DefaultConfig(8000)
 	cfg.Hierarchies = 4
 	doc, err := corpus.Generate(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if Fingerprint(doc) == 0 {
-			b.Fatal("zero fingerprint")
-		}
-	}
+	return doc
 }

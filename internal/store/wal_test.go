@@ -2,11 +2,14 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/faultfs"
 )
 
@@ -210,5 +213,110 @@ func TestWALVetoRewind(t *testing.T) {
 	}
 	if len(recs) != 1 || string(recs[0].Payload) != "committed" {
 		t.Fatalf("after veto rewind: %+v", recs)
+	}
+}
+
+// walFile reads a segment's bytes, failing the test on error.
+func walFile(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestWALOpensVersion1Segment opens a segment as versions before
+// RecordBatch wrote it: header version 1, legacy op-batch and snapshot
+// records. OpenWAL returns its records, appends of those kinds keep it
+// readable to the older versions, and the first RecordBatch upgrades
+// the header to version 2 without losing a record.
+func TestWALOpensVersion1Segment(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "d.wal")
+	seg := []byte("GWAL\x01")
+	seg = appendFrame(seg, RecordOps, 0x11111111, []byte(`{"ops":[]}`))
+	seg = appendFrame(seg, RecordSnapshot, 0, []byte("GDAGsnap"))
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, recs := openTestWAL(t, faultfs.OS, path)
+	if len(recs) != 2 || recs[0].Kind != RecordOps || recs[0].Pre != 0x11111111 || recs[1].Kind != RecordSnapshot {
+		t.Fatalf("version-1 segment opened to %+v", recs)
+	}
+	if err := w.Append(RecordOps, 2, []byte("legacy")); err != nil {
+		t.Fatal(err)
+	}
+	if v := walFile(t, path)[4]; v != walVersion1 {
+		t.Fatalf("legacy append changed the header to version %d", v)
+	}
+	if err := w.Append(RecordBatch, 3, []byte("batch")); err != nil {
+		t.Fatal(err)
+	}
+	if v := walFile(t, path)[4]; v != walVersion2 {
+		t.Fatalf("segment holding a RecordBatch has header version %d, want %d", v, walVersion2)
+	}
+	w.Close()
+	_, recs = openTestWAL(t, faultfs.OS, path)
+	if len(recs) != 4 || recs[2].Pre != 2 || recs[3].Kind != RecordBatch || recs[3].Pre != 3 {
+		t.Fatalf("upgraded segment reopened to %+v", recs)
+	}
+}
+
+// TestWALBatchSegmentUnreadableToVersion1Readers pins the downgrade
+// guard. Readers from before RecordBatch accept only header version 1
+// and would cut a RecordBatch and everything after it as a torn tail.
+// A fresh segment stays at version 1 while it holds only the older
+// kinds; once it holds a RecordBatch its header is version 2, which
+// those readers reject, so their load fails instead of dropping edits.
+// Reset keeps version 2.
+func TestWALBatchSegmentUnreadableToVersion1Readers(t *testing.T) {
+	version1Reader := func(data []byte) bool { return string(data[:4]) == walMagic && data[4] == 1 }
+	path := filepath.Join(t.TempDir(), "d.wal")
+	w, _ := openTestWAL(t, faultfs.OS, path)
+	if err := w.Append(RecordSnapshot, 0, []byte("GDAGsnap")); err != nil {
+		t.Fatal(err)
+	}
+	if !version1Reader(walFile(t, path)) {
+		t.Fatal("a segment without RecordBatch is unreadable to version-1 readers")
+	}
+	if err := w.Append(RecordBatch, 1, []byte("batch")); err != nil {
+		t.Fatal(err)
+	}
+	if version1Reader(walFile(t, path)) {
+		t.Fatal("a segment holding a RecordBatch is readable to version-1 readers")
+	}
+	if err := w.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if data := walFile(t, path); len(data) != WALHeaderLen || data[4] != walVersion2 {
+		t.Fatalf("after Reset: %q", data)
+	}
+}
+
+// TestImageFingerprint: the stamp is the directory CRC MarshalV3
+// writes, equal for equal states (also across a mapped round trip),
+// different after an edit, and a whole-slice CRC for anything too short
+// to be an image.
+func TestImageFingerprint(t *testing.T) {
+	doc, err := corpus.Fig1Document()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := encodeV3Bytes(t, doc)
+	nsec := int(binary.LittleEndian.Uint32(img[8:]))
+	fp := ImageFingerprint(img)
+	if want := binary.LittleEndian.Uint32(img[v3HeaderLen+nsec*v3EntryLen:]); fp != want {
+		t.Fatalf("fingerprint %#x, want the directory CRC %#x", fp, want)
+	}
+	if again := ImageFingerprint(encodeV3Bytes(t, openV3(t, img))); again != fp {
+		t.Fatalf("round-tripped state fingerprints %#x, was %#x", again, fp)
+	}
+	doc.Elements()[0].SetAttr("k", "v")
+	if edited := ImageFingerprint(encodeV3Bytes(t, doc)); edited == fp {
+		t.Fatal("an attribute edit left the fingerprint unchanged")
+	}
+	short := img[:v3HeaderLen+2]
+	if got := ImageFingerprint(short); got != crc32.Checksum(short, crcTable) {
+		t.Fatalf("short slice fingerprint %#x, want its CRC", got)
 	}
 }
