@@ -374,7 +374,8 @@ func (c *Catalog) recover(e *entry, doc *core.Document) (*core.Document, error) 
 
 	// Replayed batches are not undoable: history starts at the recovered
 	// state, as it does after any load. The session keeps its image, so
-	// the converge save below encodes only if the last record applied.
+	// the converge save below encodes only if the last record changed
+	// the document.
 	doc.Edit().ClearHistory()
 
 	// Converge: persist the recovered state and retire the log.
