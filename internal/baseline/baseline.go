@@ -22,6 +22,7 @@ package baseline
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/xmlscan"
@@ -59,13 +60,17 @@ func (n *Node) Attr(name string) (string, bool) {
 // ParseDOM parses an XML document into a DOM tree and returns its root
 // element.
 func ParseDOM(data []byte) (*Node, error) {
-	toks, err := xmlscan.Tokens(data, xmlscan.Options{CoalesceCDATA: true})
-	if err != nil {
-		return nil, err
-	}
+	sc := xmlscan.New(data, xmlscan.Options{CoalesceCDATA: true})
 	var root *Node
 	var stack []*Node
-	for _, tok := range toks {
+	var tok xmlscan.Token
+	for {
+		if err := sc.NextInto(&tok); err != nil {
+			if err == io.EOF {
+				break
+			}
+			return nil, err
+		}
 		switch tok.Kind {
 		case xmlscan.KindStartElement:
 			n := &Node{Kind: KindElement, Name: tok.Name, Attrs: tok.Attrs}

@@ -352,10 +352,26 @@ func TestMilestoneErrors(t *testing.T) {
 		`<r chx-hierarchies="a b"><w chx-s="b.0"/>x<v chx-e="b.0"/></r>`,     // tag mismatch
 		`<r chx-hierarchies="a b"><w chx-s="noDot"/>x<w chx-e="noDot"/></r>`, // malformed id
 		`<r chx-hierarchies="a b"><w chx-s="b.0"/><w chx-s="b.0"/>x</r>`,     // duplicate start
+		`<r chx-hierarchies="a b"><w chx-s="b.0">x</w><w chx-e="b.0"/></r>`,  // start with content
+		`<r chx-hierarchies="a b"><w chx-s="b.0"/>x<w chx-e="b.0">y</w></r>`, // end with content
 	}
 	for _, src := range bad {
 		if _, err := DecodeMilestones([]byte(src)); err == nil {
 			t.Errorf("DecodeMilestones(%q): expected error", src)
+		}
+	}
+}
+
+func TestFragmentationErrors(t *testing.T) {
+	bad := []string{
+		`<r chx-hierarchies="a b"><x chx-h="b" chx-id="1">ab</x><y chx-h="b" chx-id="1">cd</y></r>`,             // tags disagree
+		`<r chx-hierarchies="a b"><x chx-h="a" chx-id="1">ab</x><x chx-h="b" chx-id="1">cd</x></r>`,             // hierarchies disagree
+		`<r chx-hierarchies="a b"><x chx-h="b" chx-id="1" n="1">ab</x><x chx-h="b" chx-id="1" n="2">cd</x></r>`, // attributes disagree
+		`<r chx-hierarchies="a b"><x chx-h="b" chx-id="1">a<x chx-h="b" chx-id="1">b</x></x></r>`,               // fragments overlap
+	}
+	for _, src := range bad {
+		if _, err := DecodeFragmentation([]byte(src)); err == nil {
+			t.Errorf("DecodeFragmentation(%q): expected error", src)
 		}
 	}
 }

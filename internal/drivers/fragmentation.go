@@ -2,6 +2,7 @@ package drivers
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -179,15 +180,15 @@ func EncodeFragmentation(doc *goddag.Document, opts EncodeOptions) ([]byte, erro
 	for i, h := range hs {
 		names[i] = h.Name()
 	}
-	fmt.Fprintf(&b, "<%s %s=%q %s=%q>", doc.RootTag(),
-		attrHierarchies, strings.Join(names, " "), attrDominant, dom.Name())
+	fmt.Fprintf(&b, "<%s %s=\"%s\" %s=\"%s\">", doc.RootTag(), attrHierarchies,
+		xmlscan.EscapeAttr(strings.Join(names, " ")), attrDominant, xmlscan.EscapeAttr(dom.Name()))
 	for _, tk := range toks {
 		switch tk.kind {
 		case 0:
 			b.WriteString(xmlscan.EscapeText(tk.text))
 		case 1:
 			e := byID[tk.f.itemID]
-			fmt.Fprintf(&b, "<%s %s=%q", e.Name(), attrHier, e.Hierarchy().Name())
+			fmt.Fprintf(&b, "<%s %s=\"%s\"", e.Name(), attrHier, xmlscan.EscapeAttr(e.Hierarchy().Name()))
 			if fragCount[tk.f.itemID] > 1 {
 				fmt.Fprintf(&b, " %s=\"%d\"", attrFragID, tk.f.itemID)
 				part := "M"
@@ -215,163 +216,90 @@ func EncodeFragmentation(doc *goddag.Document, opts EncodeOptions) ([]byte, erro
 // DecodeFragmentation parses a fragmentation-encoded document into a
 // GODDAG, gluing chx-id fragment chains back into single elements.
 // Documents without chx-* metadata decode as a single hierarchy "main".
+// The document's names and attribute values alias data.
+//
+// Equal spans in one hierarchy nest by the order their first fragments
+// open, the first opened outermost. That is the one order the encoder
+// never flips: it opens coextensive elements outer first, but writes
+// coextensive empty elements one after the other and reopens
+// interrupted fragments in the order it closed them.
 func DecodeFragmentation(data []byte) (*goddag.Document, error) {
-	toks, err := xmlscan.Tokens(data, xmlscan.Options{CoalesceCDATA: true})
-	if err != nil {
-		return nil, fmt.Errorf("drivers: fragmentation: %w", err)
+	type open struct {
+		tag   string
+		attrs []goddag.Attr
+		pos   int
+		hier  int
+		id    string
+		seq   int
 	}
-	content, err := xmlscan.Content(data)
-	if err != nil {
-		return nil, err
-	}
-	var rootTag string
-	hierNames := []string{"main"}
-
 	var (
-		stack   []openEl
-		groups  = map[string]*group{} // keyed by chx-id
-		singles []group
-		sawRoot bool
-		openSeq int
+		set     recordSet
+		text    strings.Builder
+		rootTag string
+		defHier = "main"           // hierarchy of elements without chx-h
+		stack   []open             // elements awaiting their end tag
+		chains  = map[string]int{} // chx-id -> record index
+		opens   int
 	)
-	for _, tok := range toks {
-		switch tok.Kind {
-		case xmlscan.KindStartElement:
-			if !sawRoot {
-				sawRoot = true
-				rootTag = tok.Name
-				if hl, ok := tok.Attr(attrHierarchies); ok {
-					hierNames = strings.Fields(hl)
-				}
-				continue
+	// finish files a closed fragment as a record, or extends the record
+	// of its chx-id chain.
+	finish := func(o open, end int) error {
+		span := document.NewSpan(o.pos, end)
+		i, ok := chains[o.id]
+		if o.id == "" || !ok {
+			if o.id != "" {
+				chains[o.id] = len(set.recs)
 			}
-			hier := "main"
+			set.add(o.hier, o.tag, o.attrs, span, o.seq)
+			return nil
+		}
+		r := &set.recs[i]
+		if r.Hier != o.hier || r.Tag != o.tag || !slices.Equal(r.Attrs, o.attrs) {
+			return fmt.Errorf("fragments of %q disagree on hierarchy, tag or attributes", o.id)
+		}
+		if span.Start < r.Span.End {
+			return fmt.Errorf("fragments of %q overlap", o.id)
+		}
+		r.Span.End = span.End
+		return nil
+	}
+	set.grow(data)
+	err := scan(data, func(tok *xmlscan.Token) error {
+		switch tok.Kind {
+		case xmlscan.KindText:
+			text.WriteString(tok.Text)
+		case xmlscan.KindStartElement:
+			if rootTag == "" {
+				rootTag = tok.Name
+				names := set.rootHiers(tok)
+				if len(names) > 0 {
+					defHier = names[0]
+				}
+				return nil
+			}
+			hier := defHier
 			if hv, ok := tok.Attr(attrHier); ok {
+				if err := checkHierName(hv); err != nil {
+					return err
+				}
 				hier = hv
-			} else if len(hierNames) > 0 {
-				hier = hierNames[0]
 			}
 			id, _ := tok.Attr(attrFragID)
-			oe := openEl{name: tok.Name, pos: tok.ContentByte, hier: hier, id: id, att: plainAttrs(tok.Attrs), openSeq: openSeq}
-			openSeq++
+			o := open{tag: tok.Name, attrs: set.plainAttrs(tok.Attrs), pos: tok.ContentByte, hier: set.hier(hier), id: id, seq: -opens}
+			opens++
 			if tok.SelfClosing {
-				finishFragment(groups, &singles, oe, tok.ContentByte)
-				continue
+				return finish(o, tok.ContentByte)
 			}
-			stack = append(stack, oe)
+			stack = append(stack, o)
 		case xmlscan.KindEndElement:
 			if tok.Depth == 0 {
-				continue
+				return nil // root close
 			}
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			finishFragment(groups, &singles, top, tok.ContentByte)
+			return finish(top, tok.ContentByte)
 		}
-	}
-	if !sawRoot {
-		return nil, fmt.Errorf("drivers: fragmentation: empty document")
-	}
-
-	doc := goddag.New(rootTag, content)
-	for _, n := range hierNames {
-		doc.AddHierarchy(n)
-	}
-	// Glue groups and collect final records.
-	var records []group
-	records = append(records, singles...)
-	ids := make([]string, 0, len(groups))
-	for id := range groups {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		g := groups[id]
-		sort.Slice(g.parts, func(i, j int) bool { return g.parts[i].span.Start < g.parts[j].span.Start })
-		// Fragments must be contiguous.
-		for i := 1; i < len(g.parts); i++ {
-			if g.parts[i].span.Start < g.parts[i-1].span.End {
-				return nil, fmt.Errorf("drivers: fragmentation: fragments of %q overlap", id)
-			}
-		}
-		merged := g.parts[0].span
-		for _, p := range g.parts[1:] {
-			merged = merged.Union(p.span)
-		}
-		records = append(records, group{hier: g.hier, name: g.name, attrs: g.attrs,
-			parts: []piece{{span: merged}}, openSeq: g.openSeq})
-	}
-	// Equal spans across hierarchies order by hierarchy position (the
-	// canonical document order of the SACX pipeline), then by the first
-	// fragment's open order for equal spans within one hierarchy.
-	hierIdx := func(name string) int {
-		for i, n := range hierNames {
-			if n == name {
-				return i
-			}
-		}
-		return len(hierNames)
-	}
-	sort.SliceStable(records, func(i, j int) bool {
-		c := document.CompareSpans(records[i].parts[0].span, records[j].parts[0].span)
-		if c != 0 {
-			return c < 0
-		}
-		if hi, hj := hierIdx(records[i].hier), hierIdx(records[j].hier); hi != hj {
-			return hi < hj
-		}
-		return records[i].openSeq < records[j].openSeq
+		return nil
 	})
-	for _, r := range records {
-		h := doc.Hierarchy(r.hier)
-		if h == nil {
-			h = doc.AddHierarchy(r.hier)
-		}
-		if _, err := doc.InsertElement(h, r.name, r.attrs, r.parts[0].span); err != nil {
-			return nil, fmt.Errorf("drivers: fragmentation: %w", err)
-		}
-	}
-	return doc, nil
-}
-
-// finishFragment files a closed fragment into its chx-id group, or as a
-// standalone element when it has no chx-id.
-func finishFragment(groups map[string]*group, singles *[]group, oe openEl, endPos int) {
-	sp := document.NewSpan(oe.pos, endPos)
-	if oe.id == "" {
-		*singles = append(*singles, group{hier: oe.hier, name: oe.name, attrs: oe.att,
-			parts: []piece{{span: sp}}, openSeq: oe.openSeq})
-		return
-	}
-	g, ok := groups[oe.id]
-	if !ok {
-		g = &group{hier: oe.hier, name: oe.name, attrs: oe.att, openSeq: oe.openSeq}
-		groups[oe.id] = g
-	}
-	if oe.openSeq < g.openSeq {
-		g.openSeq = oe.openSeq
-	}
-	g.parts = append(g.parts, piece{span: sp})
-}
-
-// group/piece/openEl are shared by DecodeFragmentation and
-// finishFragment.
-type piece struct {
-	span document.Span
-}
-
-type group struct {
-	hier    string
-	name    string
-	attrs   []goddag.Attr
-	parts   []piece
-	openSeq int // order of the first fragment's start tag
-}
-
-type openEl struct {
-	name    string
-	pos     int
-	hier    string
-	id      string
-	att     []goddag.Attr
-	openSeq int
+	return set.load("fragmentation", rootTag, text.String(), err)
 }

@@ -98,13 +98,13 @@ func EncodeMilestones(doc *goddag.Document, opts EncodeOptions) ([]byte, error) 
 	emitMilestones := func(pos int) {
 		for _, ev := range events[pos] {
 			if ev.open {
-				fmt.Fprintf(&b, "<%s %s=%q", ev.el.Name(), attrMilestoneStart, ev.id)
+				fmt.Fprintf(&b, "<%s %s=\"%s\"", ev.el.Name(), attrMilestoneStart, xmlscan.EscapeAttr(ev.id))
 				for _, a := range ev.el.Attrs() {
 					fmt.Fprintf(&b, " %s=\"%s\"", a.Name, xmlscan.EscapeAttr(a.Value))
 				}
 				b.WriteString("/>")
 			} else {
-				fmt.Fprintf(&b, "<%s %s=%q/>", ev.el.Name(), attrMilestoneEnd, ev.id)
+				fmt.Fprintf(&b, "<%s %s=\"%s\"/>", ev.el.Name(), attrMilestoneEnd, xmlscan.EscapeAttr(ev.id))
 			}
 		}
 		delete(events, pos)
@@ -114,12 +114,12 @@ func EncodeMilestones(doc *goddag.Document, opts EncodeOptions) ([]byte, error) 
 	for i, h := range hs {
 		names[i] = h.Name()
 	}
-	fmt.Fprintf(&b, "<%s %s=%q %s=%q>", doc.RootTag(),
-		attrHierarchies, strings.Join(names, " "), attrDominant, dom.Name())
+	fmt.Fprintf(&b, "<%s %s=\"%s\" %s=\"%s\">", doc.RootTag(), attrHierarchies,
+		xmlscan.EscapeAttr(strings.Join(names, " ")), attrDominant, xmlscan.EscapeAttr(dom.Name()))
 
 	var walk func(nodes []goddag.Node)
 	walk = func(nodes []goddag.Node) {
-		for _, n := range nodes {
+		for _, n := range goddag.SerialOrder(nodes) {
 			switch v := n.(type) {
 			case *goddag.Element:
 				emitMilestones(v.Span().Start)
@@ -164,173 +164,108 @@ func EncodeMilestones(doc *goddag.Document, opts EncodeOptions) ([]byte, error) 
 
 // DecodeMilestones parses a milestone-encoded document into a GODDAG.
 // Documents without the chx-hierarchies root attribute decode as a single
-// hierarchy named "main".
+// hierarchy named "main". The document's names and attribute values
+// alias data.
+//
+// Equal spans in the dominant hierarchy nest as the XML does: the
+// element closed first is the inner one. Milestone pairs carry no
+// nesting; the encoder writes them in pre-order, so among equal spans
+// the pair started last is the inner one.
 func DecodeMilestones(data []byte) (*goddag.Document, error) {
-	toks, err := xmlscan.Tokens(data, xmlscan.Options{CoalesceCDATA: true})
-	if err != nil {
-		return nil, fmt.Errorf("drivers: milestones: %w", err)
-	}
-	content, err := xmlscan.Content(data)
-	if err != nil {
-		return nil, err
-	}
-
-	var rootTag, dominant string
-	hierNames := []string{"main"}
-	dominant = "main"
-
-	type openEl struct {
-		name  string
+	type open struct {
+		tag   string
 		attrs []goddag.Attr
 		pos   int
-	}
-	type openMS struct {
-		name  string
-		attrs []goddag.Attr
-		pos   int
-		hier  string
-	}
-	type record struct {
-		hier  string
-		name  string
-		attrs []goddag.Attr
-		span  document.Span
-		order int
-	}
-	hierIdx := func(name string) int {
-		for i, n := range hierNames {
-			if n == name {
-				return i
-			}
-		}
-		return len(hierNames)
+		hier  int
+		seq   int
 	}
 	var (
-		stack   []openEl
-		pending = map[string]openMS{}
-		records []record
-		seq     int
-		sawRoot bool
+		set      recordSet
+		text     strings.Builder
+		rootTag  string
+		dominant int                 // the dominant hierarchy's position
+		stack    []open              // dominant elements awaiting their end tag
+		pending  = map[string]open{} // milestone starts awaiting their end, by id
+		starts   int
 	)
-	for _, tok := range toks {
+	set.grow(data)
+	err := scan(data, func(tok *xmlscan.Token) error {
 		switch tok.Kind {
+		case xmlscan.KindText:
+			text.WriteString(tok.Text)
 		case xmlscan.KindStartElement:
-			if !sawRoot {
-				sawRoot = true
+			if rootTag == "" {
 				rootTag = tok.Name
-				if hl, ok := tok.Attr(attrHierarchies); ok {
-					hierNames = strings.Fields(hl)
-				}
+				names := set.rootHiers(tok)
+				dom := "main"
 				if dm, ok := tok.Attr(attrDominant); ok {
-					dominant = dm
-				} else if len(hierNames) > 0 {
-					dominant = hierNames[0]
+					dom = dm
+				} else if len(names) > 0 {
+					dom = names[0]
 				}
-				continue
+				dominant = set.hier(dom)
+				return checkHierName(dom)
 			}
 			if id, ok := tok.Attr(attrMilestoneStart); ok {
 				hier, err := hierOfID(id)
 				if err != nil {
-					return nil, err
+					return err
+				}
+				if !tok.SelfClosing {
+					return fmt.Errorf("start %q is not an empty tag", id)
 				}
 				if _, dup := pending[id]; dup {
-					return nil, fmt.Errorf("drivers: milestones: duplicate start %q", id)
+					return fmt.Errorf("duplicate start %q", id)
 				}
-				pending[id] = openMS{name: tok.Name, attrs: plainAttrs(tok.Attrs), pos: tok.ContentByte, hier: hier}
-				continue
+				pending[id] = open{tag: tok.Name, attrs: set.plainAttrs(tok.Attrs), pos: tok.ContentByte, hier: set.hier(hier), seq: -starts}
+				starts++
+				return nil
 			}
 			if id, ok := tok.Attr(attrMilestoneEnd); ok {
 				ms, open := pending[id]
 				if !open {
-					return nil, fmt.Errorf("drivers: milestones: end %q without start", id)
+					return fmt.Errorf("end %q without start", id)
 				}
-				if ms.name != tok.Name {
-					return nil, fmt.Errorf("drivers: milestones: end %q tag <%s> != start tag <%s>", id, tok.Name, ms.name)
+				if ms.tag != tok.Name {
+					return fmt.Errorf("end %q tag <%s> != start tag <%s>", id, tok.Name, ms.tag)
+				}
+				if !tok.SelfClosing {
+					return fmt.Errorf("end %q is not an empty tag", id)
 				}
 				delete(pending, id)
-				records = append(records, record{
-					hier: ms.hier, name: ms.name, attrs: ms.attrs,
-					span: document.NewSpan(ms.pos, tok.ContentByte), order: seq,
-				})
-				seq++
-				continue
+				set.add(ms.hier, ms.tag, ms.attrs, document.NewSpan(ms.pos, tok.ContentByte), ms.seq)
+				return nil
 			}
 			// Dominant structural element.
+			attrs := set.plainAttrs(tok.Attrs)
 			if tok.SelfClosing {
-				records = append(records, record{
-					hier: dominant, name: tok.Name, attrs: plainAttrs(tok.Attrs),
-					span: document.NewSpan(tok.ContentByte, tok.ContentByte), order: seq,
-				})
-				seq++
-				continue
+				set.add(dominant, tok.Name, attrs, document.NewSpan(tok.ContentByte, tok.ContentByte), len(set.recs))
+				return nil
 			}
-			stack = append(stack, openEl{name: tok.Name, attrs: plainAttrs(tok.Attrs), pos: tok.ContentByte})
+			stack = append(stack, open{tag: tok.Name, attrs: attrs, pos: tok.ContentByte})
 		case xmlscan.KindEndElement:
 			if tok.Depth == 0 {
-				continue // root close
+				return nil // root close
 			}
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			records = append(records, record{
-				hier: dominant, name: top.name, attrs: top.attrs,
-				span: document.NewSpan(top.pos, tok.ContentByte), order: seq,
-			})
-			seq++
+			set.add(dominant, top.tag, top.attrs, document.NewSpan(top.pos, tok.ContentByte), len(set.recs))
 		}
-	}
-	if len(pending) > 0 {
-		for id := range pending {
-			return nil, fmt.Errorf("drivers: milestones: start %q without end", id)
-		}
-	}
-	if !sawRoot {
-		return nil, fmt.Errorf("drivers: milestones: empty document")
-	}
-
-	doc := goddag.New(rootTag, content)
-	for _, n := range hierNames {
-		doc.AddHierarchy(n)
-	}
-	// Insert wider spans first so adoption never fails on equal spans;
-	// equal spans across hierarchies order by hierarchy position, the
-	// canonical document order produced by the SACX pipeline.
-	sort.SliceStable(records, func(i, j int) bool {
-		c := document.CompareSpans(records[i].span, records[j].span)
-		if c != 0 {
-			return c < 0
-		}
-		return hierIdx(records[i].hier) < hierIdx(records[j].hier)
+		return nil
 	})
-	for _, r := range records {
-		h := doc.Hierarchy(r.hier)
-		if h == nil {
-			h = doc.AddHierarchy(r.hier)
-		}
-		if _, err := doc.InsertElement(h, r.name, r.attrs, r.span); err != nil {
-			return nil, fmt.Errorf("drivers: milestones: %w", err)
+	for id := range pending {
+		if err == nil {
+			err = fmt.Errorf("start %q without end", id)
 		}
 	}
-	return doc, nil
+	return set.load("milestones", rootTag, text.String(), err)
 }
 
 // hierOfID extracts the hierarchy name from a "hierarchy.ordinal" id.
 func hierOfID(id string) (string, error) {
 	i := strings.LastIndexByte(id, '.')
 	if i <= 0 {
-		return "", fmt.Errorf("drivers: milestones: malformed id %q", id)
+		return "", fmt.Errorf("malformed id %q", id)
 	}
-	return id[:i], nil
-}
-
-// plainAttrs converts scanner attributes to goddag attributes, dropping
-// the reserved chx-* names.
-func plainAttrs(attrs []xmlscan.Attr) []goddag.Attr {
-	var out []goddag.Attr
-	for _, a := range attrs {
-		if strings.HasPrefix(a.Name, "chx-") {
-			continue
-		}
-		out = append(out, goddag.Attr{Name: a.Name, Value: a.Value})
-	}
-	return out
+	return id[:i], checkHierName(id[:i])
 }

@@ -12,6 +12,8 @@ import (
 // randomDoc builds a document with several hierarchies of random markup:
 // nested structure in hierarchy 0, flat annotation layers (including
 // empty milestones) elsewhere, with attribute values that need escaping.
+// About one element in four gets a coextensive wrapper in its own
+// hierarchy (InsertElement over an equal span wraps the element there).
 func randomDoc(seed int64) *goddag.Document {
 	rng := rand.New(rand.NewSource(seed))
 	n := 40 + rng.Intn(80)
@@ -50,6 +52,11 @@ func randomDoc(seed int64) *goddag.Document {
 			if _, err := d.InsertElement(h0, "sec", attrs, span(iv[0], iv[1])); err != nil {
 				panic(err)
 			}
+			if rng.Intn(4) == 0 {
+				if _, err := d.InsertElement(h0, "div", nil, span(iv[0], iv[1])); err != nil {
+					panic(err)
+				}
+			}
 			nest(iv[0], iv[1], depth-1)
 		}
 	}
@@ -67,6 +74,11 @@ func randomDoc(seed int64) *goddag.Document {
 			}
 			if _, err := d.InsertElement(h, "ann", nil, span(lo, hi)); err != nil {
 				panic(err)
+			}
+			if rng.Intn(4) == 0 {
+				if _, err := d.InsertElement(h, "wrap", nil, span(lo, hi)); err != nil {
+					panic(err)
+				}
 			}
 			if hi > lastEnd {
 				lastEnd = hi

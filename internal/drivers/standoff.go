@@ -39,19 +39,19 @@ func EncodeStandoff(doc *goddag.Document, opts EncodeOptions) ([]byte, error) {
 	}
 	content := doc.Content()
 	var b strings.Builder
-	fmt.Fprintf(&b, "<standoff root=%q>\n", doc.RootTag())
+	fmt.Fprintf(&b, "<standoff root=\"%s\">\n", xmlscan.EscapeAttr(doc.RootTag()))
 	fmt.Fprintf(&b, "  <text>%s</text>\n", xmlscan.EscapeText(content.String()))
 	for _, h := range hs {
-		fmt.Fprintf(&b, "  <hierarchy name=%q>\n", h.Name())
+		fmt.Fprintf(&b, "  <hierarchy name=\"%s\">\n", xmlscan.EscapeAttr(h.Name()))
 		for _, e := range h.Elements() {
 			sp := content.RuneSpan(e.Span())
 			if len(e.Attrs()) == 0 {
-				fmt.Fprintf(&b, "    <el tag=%q start=\"%d\" end=\"%d\"/>\n", e.Name(), sp.Start, sp.End)
+				fmt.Fprintf(&b, "    <el tag=\"%s\" start=\"%d\" end=\"%d\"/>\n", xmlscan.EscapeAttr(e.Name()), sp.Start, sp.End)
 				continue
 			}
-			fmt.Fprintf(&b, "    <el tag=%q start=\"%d\" end=\"%d\">\n", e.Name(), sp.Start, sp.End)
+			fmt.Fprintf(&b, "    <el tag=\"%s\" start=\"%d\" end=\"%d\">\n", xmlscan.EscapeAttr(e.Name()), sp.Start, sp.End)
 			for _, a := range e.Attrs() {
-				fmt.Fprintf(&b, "      <at n=%q v=\"%s\"/>\n", a.Name, xmlscan.EscapeAttr(a.Value))
+				fmt.Fprintf(&b, "      <at n=\"%s\" v=\"%s\"/>\n", xmlscan.EscapeAttr(a.Name), xmlscan.EscapeAttr(a.Value))
 			}
 			b.WriteString("    </el>\n")
 		}
@@ -61,41 +61,30 @@ func EncodeStandoff(doc *goddag.Document, opts EncodeOptions) ([]byte, error) {
 	return []byte(b.String()), nil
 }
 
-// DecodeStandoff parses the standoff representation into a GODDAG.
+// DecodeStandoff parses the standoff representation into a GODDAG. The
+// document's names and attribute values alias data. A hierarchy lists
+// its elements in pre-order, outer before inner on equal spans, so among
+// equal spans the element listed last is the inner one.
 func DecodeStandoff(data []byte) (*goddag.Document, error) {
-	toks, err := xmlscan.Tokens(data, xmlscan.Options{CoalesceCDATA: true})
-	if err != nil {
-		return nil, fmt.Errorf("drivers: standoff: %w", err)
-	}
 	var (
-		doc     *goddag.Document
+		set     recordSet
+		text    strings.Builder
 		rootTag string
-		text    string
 		sawText bool
-		inHier  bool
-		curElem *pendingEl
 		inText  bool
-		pending []pendingHier
+		hier    = -1 // current <hierarchy>, -1 outside
+		el      = -1 // record of the open <el>, -1 outside
+		attrLo  int  // el's first attribute in the arena
 	)
-	flushElem := func() error {
-		if curElem == nil {
-			return nil
-		}
-		if !inHier {
-			return fmt.Errorf("drivers: standoff: <el> outside <hierarchy>")
-		}
-		pending[len(pending)-1].els = append(pending[len(pending)-1].els, *curElem)
-		curElem = nil
-		return nil
-	}
-	for _, tok := range toks {
+	set.grow(data)
+	err := scan(data, func(tok *xmlscan.Token) error {
 		switch tok.Kind {
 		case xmlscan.KindStartElement:
 			switch tok.Name {
 			case "standoff":
 				rootTag, _ = tok.Attr("root")
 				if rootTag == "" {
-					return nil, fmt.Errorf("drivers: standoff: missing root attribute")
+					return fmt.Errorf("missing root attribute")
 				}
 			case "text":
 				if tok.SelfClosing {
@@ -106,43 +95,50 @@ func DecodeStandoff(data []byte) (*goddag.Document, error) {
 			case "hierarchy":
 				name, ok := tok.Attr("name")
 				if !ok || name == "" {
-					return nil, fmt.Errorf("drivers: standoff: hierarchy without name")
+					return fmt.Errorf("hierarchy without name")
 				}
-				pending = append(pending, pendingHier{name: name})
-				inHier = true
+				if hier >= 0 {
+					return fmt.Errorf("<hierarchy> inside <hierarchy>")
+				}
+				hier = set.hier(name)
+				if tok.SelfClosing {
+					hier = -1
+				}
 			case "el":
+				if hier < 0 {
+					return fmt.Errorf("<el> outside <hierarchy>")
+				}
+				if el >= 0 {
+					return fmt.Errorf("<el> inside <el>")
+				}
 				tag, _ := tok.Attr("tag")
 				startS, _ := tok.Attr("start")
 				endS, _ := tok.Attr("end")
 				if tag == "" || startS == "" || endS == "" {
-					return nil, fmt.Errorf("drivers: standoff: el needs tag/start/end at offset %d", tok.Offset)
+					return fmt.Errorf("el needs tag/start/end at offset %d", tok.Offset)
 				}
 				start, err1 := strconv.Atoi(startS)
 				end, err2 := strconv.Atoi(endS)
 				if err1 != nil || err2 != nil || start < 0 || end < start {
-					return nil, fmt.Errorf("drivers: standoff: bad offsets %q..%q", startS, endS)
+					return fmt.Errorf("bad offsets %q..%q", startS, endS)
 				}
-				pe := pendingEl{tag: tag, span: document.NewSpan(start, end)}
-				if tok.SelfClosing {
-					if len(pending) == 0 {
-						return nil, fmt.Errorf("drivers: standoff: <el> outside <hierarchy>")
-					}
-					pending[len(pending)-1].els = append(pending[len(pending)-1].els, pe)
-				} else {
-					curElem = &pe
+				// Rune offsets until the text is known.
+				set.add(hier, tag, nil, document.NewSpan(start, end), -len(set.recs))
+				if !tok.SelfClosing {
+					el, attrLo = len(set.recs)-1, len(set.arena)
 				}
 			case "at":
-				if curElem == nil {
-					return nil, fmt.Errorf("drivers: standoff: <at> outside <el>")
+				if el < 0 {
+					return fmt.Errorf("<at> outside <el>")
 				}
 				n, _ := tok.Attr("n")
 				v, _ := tok.Attr("v")
 				if n == "" {
-					return nil, fmt.Errorf("drivers: standoff: <at> without n")
+					return fmt.Errorf("<at> without n")
 				}
-				curElem.attrs = append(curElem.attrs, goddag.Attr{Name: n, Value: v})
+				set.arena = append(set.arena, goddag.Attr{Name: n, Value: v})
 			default:
-				return nil, fmt.Errorf("drivers: standoff: unexpected element <%s>", tok.Name)
+				return fmt.Errorf("unexpected element <%s>", tok.Name)
 			}
 		case xmlscan.KindEndElement:
 			switch tok.Name {
@@ -150,52 +146,49 @@ func DecodeStandoff(data []byte) (*goddag.Document, error) {
 				inText = false
 				sawText = true
 			case "el":
-				if err := flushElem(); err != nil {
-					return nil, err
+				if el >= 0 {
+					set.recs[el].Attrs = set.attrsFrom(attrLo)
+					el = -1
 				}
 			case "hierarchy":
-				inHier = false
+				hier = -1
 			}
-		case xmlscan.KindText, xmlscan.KindCDATA:
+		case xmlscan.KindText:
 			if inText {
-				text += tok.Text
+				text.WriteString(tok.Text)
 			} else if strings.TrimSpace(tok.Text) != "" {
-				return nil, fmt.Errorf("drivers: standoff: stray text %q", tok.Text)
+				return fmt.Errorf("stray text %q", tok.Text)
 			}
 		}
+		return nil
+	})
+	switch {
+	case err != nil:
+	case rootTag == "":
+		err = fmt.Errorf("no <standoff> element")
+	case !sawText:
+		err = fmt.Errorf("no <text> element")
+	default:
+		err = byteSpans(text.String(), set.recs, set.hiers)
 	}
-	if rootTag == "" {
-		return nil, fmt.Errorf("drivers: standoff: no <standoff> element")
+	return set.load("standoff", rootTag, text.String(), err)
+}
+
+// byteSpans converts the records' rune spans into byte spans of text
+// through a table of every rune's byte offset, built in one pass. hiers
+// names the records' hierarchies for errors.
+func byteSpans(text string, recs []goddag.Record, hiers []string) error {
+	at := make([]int, 0, len(text)+1)
+	for i := range text {
+		at = append(at, i)
 	}
-	if !sawText {
-		return nil, fmt.Errorf("drivers: standoff: no <text> element")
-	}
-	doc = goddag.New(rootTag, text)
-	content := doc.Content()
-	for _, ph := range pending {
-		h := doc.AddHierarchy(ph.name)
-		for _, pe := range ph.els {
-			// File offsets are rune offsets; convert to the GODDAG's byte
-			// spans through the content's byte↔rune index.
-			if pe.span.End > content.RuneLen() {
-				return nil, fmt.Errorf("drivers: standoff: %s:%s %v exceeds text length %d",
-					ph.name, pe.tag, pe.span, content.RuneLen())
-			}
-			if _, err := doc.InsertElement(h, pe.tag, pe.attrs, content.ByteSpan(pe.span)); err != nil {
-				return nil, fmt.Errorf("drivers: standoff: %w", err)
-			}
+	at = append(at, len(text))
+	for i := range recs {
+		sp := recs[i].Span
+		if sp.End >= len(at) {
+			return fmt.Errorf("%s:%s %v exceeds text length %d", hiers[recs[i].Hier], recs[i].Tag, sp, len(at)-1)
 		}
+		recs[i].Span = document.NewSpan(at[sp.Start], at[sp.End])
 	}
-	return doc, nil
-}
-
-type pendingEl struct {
-	tag   string
-	span  document.Span
-	attrs []goddag.Attr
-}
-
-type pendingHier struct {
-	name string
-	els  []pendingEl
+	return nil
 }

@@ -1,7 +1,9 @@
 package goddag
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/document"
 )
@@ -20,8 +22,10 @@ import (
 // ended first, so it arrives first and is wrapped by the outer), which the
 // builder handles identically to InsertElement.
 //
-// Appending out of document order returns an error; use the general
-// InsertElement for arbitrary-order edits. The two paths produce
+// Appending out of document order returns an error. Importers whose
+// element records do not arrive in document order hand them to
+// Document.LoadRecords, which sorts them and streams them through a
+// BulkBuilder; InsertElement is for edits. The two paths produce
 // identical structures for the same element set.
 type BulkBuilder struct {
 	doc    *Document
@@ -201,4 +205,57 @@ func (b *BulkBuilder) Append(h *Hierarchy, tag string, attrs []Attr, span docume
 	h.n++
 	d.bump()
 	return el, nil
+}
+
+// Record is one element awaiting a bulk load: its hierarchy (a position
+// in Document.Hierarchies), tag, attributes, byte span and source order.
+// Seq matters only among records of one hierarchy with equal spans,
+// where the lower Seq is the inner element (in nested XML, the one
+// whose end tag comes first).
+type Record struct {
+	Hier  int
+	Tag   string
+	Attrs []Attr
+	Span  document.Span
+	Seq   int
+}
+
+// LoadRecords builds recs, given in any order, into d, whose hierarchies
+// must be registered and still empty. It is the one place that decides
+// the order of element records: a stable sort by sacx.Build's merge key
+// (start, widest end first, hierarchy position, then Seq), one
+// Partition.CutAll of every border, and a Precut BulkBuilder pass. It
+// sorts recs in place. On error d is left partially built.
+func (d *Document) LoadRecords(recs []Record) error {
+	hiers := d.Hierarchies()
+	cuts := make([]int, 0, 2*len(recs))
+	nattrs := 0
+	for i := range recs {
+		r := &recs[i]
+		if r.Hier < 0 || r.Hier >= len(hiers) {
+			return fmt.Errorf("goddag: record hierarchy %d out of range [0,%d)", r.Hier, len(hiers))
+		}
+		cuts = append(cuts, r.Span.Start, r.Span.End)
+		nattrs += len(r.Attrs)
+	}
+	slices.SortStableFunc(recs, func(a, b Record) int {
+		if c := document.CompareSpans(a.Span, b.Span); c != 0 {
+			return c
+		}
+		if a.Hier != b.Hier {
+			return cmp.Compare(a.Hier, b.Hier)
+		}
+		return cmp.Compare(a.Seq, b.Seq)
+	})
+	d.Partition().CutAll(cuts)
+	bulk := d.BulkLoad()
+	bulk.Grow(len(recs), nattrs)
+	bulk.Precut()
+	for i := range recs {
+		r := &recs[i]
+		if _, err := bulk.Append(hiers[r.Hier], r.Tag, r.Attrs, r.Span); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -165,3 +165,57 @@ func TestBulkAttrsIndependent(t *testing.T) {
 		t.Errorf("e2/@m corrupted: %q", v)
 	}
 }
+
+// TestLoadRecords hands LoadRecords records out of order: Seq nests the
+// equal spans of one hierarchy (lower Seq inner) whatever their order in
+// the slice, and a record naming no registered hierarchy is an error.
+func TestLoadRecords(t *testing.T) {
+	for _, flip := range []bool{false, true} {
+		doc := New("r", "abcdefgh")
+		doc.AddHierarchy("h")
+		doc.AddHierarchy("g")
+		recs := []Record{
+			{Hier: 1, Tag: "x", Span: document.NewSpan(0, 3)},
+			{Hier: 0, Tag: "outer", Span: document.NewSpan(2, 6), Seq: 5},
+			{Hier: 0, Tag: "pb", Span: document.NewSpan(7, 7), Seq: 2},
+			{Hier: 0, Tag: "inner", Span: document.NewSpan(2, 6), Seq: 1},
+		}
+		if flip {
+			recs[1], recs[3] = recs[3], recs[1]
+		}
+		if err := doc.LoadRecords(recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := doc.Check(); err != nil {
+			t.Fatal(err)
+		}
+		top := doc.Hierarchy("h").top
+		if len(top) != 2 || top[0].name != "outer" || len(top[0].children) != 1 || top[0].children[0].name != "inner" {
+			t.Errorf("flip=%v: nesting %s", flip, DumpTree(doc.Hierarchy("h")))
+		}
+	}
+	doc := New("r", "ab")
+	doc.AddHierarchy("h")
+	if err := doc.LoadRecords([]Record{{Hier: 1, Tag: "x", Span: document.NewSpan(0, 1)}}); err == nil {
+		t.Error("record of an unregistered hierarchy loaded")
+	}
+}
+
+// TestSerialOrder moves empty elements ahead of the wider sibling that
+// starts where they are, and leaves every other order alone.
+func TestSerialOrder(t *testing.T) {
+	doc := New("r", "abcdef")
+	h := doc.AddHierarchy("h")
+	for _, sp := range []document.Span{document.NewSpan(2, 4), document.NewSpan(2, 2), document.NewSpan(2, 2), document.NewSpan(4, 4)} {
+		if _, err := doc.InsertElement(h, "e", nil, sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []string
+	for _, n := range SerialOrder(doc.Root().Children(h)) {
+		got = append(got, n.Span().String())
+	}
+	if want := "[0,2) [2,2) [2,4) [4,4) [4,6)"; strings.Join(got, " ") != want {
+		t.Errorf("serial order %s, want %s", strings.Join(got, " "), want)
+	}
+}

@@ -315,6 +315,24 @@ func childNodes(d *Document, span document.Span, children []*Element) []Node {
 	return out
 }
 
+// SerialOrder reorders nodes, a Children list, in place into the order
+// XML writes them. Document order puts an empty element after a wider
+// sibling with the same start, but XML must write it before that
+// sibling's start tag to keep its position.
+func SerialOrder(nodes []Node) []Node {
+	for i := 1; i < len(nodes); i++ {
+		e, ok := nodes[i].(*Element)
+		if !ok || !e.span.IsEmpty() {
+			continue
+		}
+		// The wider sibling moves right one empty element at a time.
+		if w, ok := nodes[i-1].(*Element); ok && !w.span.IsEmpty() && w.span.Start == e.span.Start {
+			nodes[i-1], nodes[i] = e, w
+		}
+	}
+	return nodes
+}
+
 // ErrConflict is returned (wrapped) when an insertion would make two
 // elements of the *same* hierarchy overlap, which would break the
 // hierarchy's tree structure. Overlap across hierarchies is the normal

@@ -244,7 +244,7 @@ func Split(d *goddag.Document, hierarchy string) ([]byte, error) {
 }
 
 func appendNodes(b []byte, nodes []goddag.Node) []byte {
-	for _, n := range nodes {
+	for _, n := range goddag.SerialOrder(nodes) {
 		switch v := n.(type) {
 		case *goddag.Element:
 			b = append(b, '<')

@@ -30,13 +30,12 @@
 // Since version 2, spans are *byte* offsets into the UTF-8 content (the
 // GODDAG's native coordinates); version 1 files, whose spans were rune
 // offsets, are rejected rather than silently misread.
-// Elements are stored in document order, so loading streams them through
-// goddag.BulkBuilder — leaf boundaries are pre-cut in one batch and each
-// element is placed in O(1) amortized time from per-hierarchy open-element
-// stacks, the same bulk path the SACX parser uses. A file whose elements
-// are not in document order (never produced by Encode, but accepted for
-// compatibility) falls back to the general InsertElement replay; the two
-// paths build identical structures.
+// Elements are stored per hierarchy in pre-order. Loading hands them to
+// goddag's Document.LoadRecords, the record path every importer shares:
+// one sort into document order, leaf boundaries pre-cut in one batch,
+// and each element placed by goddag.BulkBuilder in O(1) amortized time.
+// Files whose elements are out of order (never written by Encode) load
+// the same way.
 //
 // Every writer of documents writes v3 (Save, core.Document.Save, the
 // catalog's saves and WAL snapshots), so any v2 file migrates to v3 on
@@ -195,14 +194,6 @@ func unsupportedSync(err error) bool {
 		errors.Is(err, syscall.ENOTTY)
 }
 
-// record is one stored element, read back from a file body.
-type record struct {
-	hier  string
-	tag   string
-	span  document.Span
-	attrs []goddag.Attr
-}
-
 // Decode reads a document in the binary GODDAG format, either version:
 // v2 streams through the varint reader below; v3 is read whole and
 // materialized through the mapped reader with full validation.
@@ -215,46 +206,46 @@ func Decode(r io.Reader) (*goddag.Document, error) {
 		}
 		return decodeV3Bytes(data)
 	}
-	doc, records, nattrs, err := readBody(br)
+	doc, records, err := readBody(br)
 	if err != nil {
 		return nil, err
 	}
-	if recordsOrdered(records) {
-		if err := buildBulk(doc, records, nattrs); err != nil {
-			return nil, err
-		}
-	} else if err := buildReplay(doc, records); err != nil {
-		return nil, err
+	if err := doc.LoadRecords(records); err != nil {
+		return nil, fmt.Errorf("store: decode: %w", err)
 	}
 	return doc, nil
 }
 
 // readBody reads and checksums the whole file, returning the empty
 // document (content + hierarchies registered) and the element records
-// still to be inserted, plus the total attribute count for arena sizing.
-func readBody(r io.Reader) (*goddag.Document, []record, int, error) {
+// still to be loaded. Each hierarchy lists its elements in pre-order,
+// outer before inner on equal spans, so the records are numbered in
+// reverse.
+func readBody(r io.Reader) (*goddag.Document, []goddag.Record, error) {
 	h := crc32.New(crcTable)
 	d := &decoder{r: bufio.NewReader(r), h: h}
 
 	head := d.raw(4)
 	if d.err == nil && string(head) != magic {
-		return nil, nil, 0, fmt.Errorf("store: bad magic %q", head)
+		return nil, nil, fmt.Errorf("store: bad magic %q", head)
 	}
 	if v := d.byte(); d.err == nil && v != version {
-		return nil, nil, 0, fmt.Errorf("store: unsupported version %d", v)
+		return nil, nil, fmt.Errorf("store: unsupported version %d", v)
 	}
 	rootTag := d.str()
 	content := d.str()
 	if d.err != nil {
-		return nil, nil, 0, fmt.Errorf("store: decode: %w", d.err)
+		return nil, nil, fmt.Errorf("store: decode: %w", d.err)
 	}
 	doc := goddag.New(rootTag, content)
 
-	var records []record
-	nattrs := 0
+	var records []goddag.Record
 	nh := d.uint()
 	for i := uint64(0); i < nh && d.err == nil; i++ {
 		name := d.str()
+		if doc.Hierarchy(name) != nil {
+			return nil, nil, fmt.Errorf("store: duplicate hierarchy %q", name)
+		}
 		doc.AddHierarchy(name)
 		ne := d.uint()
 		for j := uint64(0); j < ne && d.err == nil; j++ {
@@ -268,89 +259,27 @@ func readBody(r io.Reader) (*goddag.Document, []record, int, error) {
 				av := d.str()
 				attrs = append(attrs, goddag.Attr{Name: an, Value: av})
 			}
-			nattrs += len(attrs)
-			records = append(records, record{
-				hier: name, tag: tag,
-				span:  document.NewSpan(int(start), int(start+length)),
-				attrs: attrs,
+			records = append(records, goddag.Record{
+				Hier: int(i), Tag: tag, Attrs: attrs,
+				Span: document.NewSpan(int(start), int(start+length)),
+				Seq:  -len(records),
 			})
 		}
 	}
 	if d.err != nil {
-		return nil, nil, 0, fmt.Errorf("store: decode: %w", d.err)
+		return nil, nil, fmt.Errorf("store: decode: %w", d.err)
 	}
 	// Verify the checksum before mutating further: the footer is read
 	// outside the hash.
 	want := h.Sum32()
 	var sum [4]byte
 	if _, err := io.ReadFull(d.r, sum[:]); err != nil {
-		return nil, nil, 0, fmt.Errorf("store: decode: missing checksum: %w", err)
+		return nil, nil, fmt.Errorf("store: decode: missing checksum: %w", err)
 	}
 	if got := binary.BigEndian.Uint32(sum[:]); got != want {
-		return nil, nil, 0, fmt.Errorf("store: checksum mismatch: file %08x, computed %08x", got, want)
+		return nil, nil, fmt.Errorf("store: checksum mismatch: file %08x, computed %08x", got, want)
 	}
-	for _, rec := range records {
-		if rec.span.End > doc.Content().Len() {
-			return nil, nil, 0, fmt.Errorf("store: element %s span %v exceeds content length %d",
-				rec.tag, rec.span, doc.Content().Len())
-		}
-	}
-	return doc, records, nattrs, nil
-}
-
-// recordsOrdered reports whether each hierarchy's records arrive in
-// document order (CompareSpans non-decreasing) — the BulkBuilder
-// precondition, and an invariant of every Encode-produced file.
-func recordsOrdered(records []record) bool {
-	last := make(map[string]document.Span, 4)
-	for _, rec := range records {
-		if prev, ok := last[rec.hier]; ok && document.CompareSpans(prev, rec.span) > 0 {
-			return false
-		}
-		last[rec.hier] = rec.span
-	}
-	return true
-}
-
-// cutBorders re-establishes all leaf boundaries in one batch.
-func cutBorders(doc *goddag.Document, records []record) {
-	cuts := make([]int, 0, 2*len(records))
-	for _, rec := range records {
-		cuts = append(cuts, rec.span.Start, rec.span.End)
-	}
-	doc.Partition().CutAll(cuts)
-}
-
-// buildBulk streams document-ordered records through goddag.BulkBuilder:
-// borders are pre-cut in one batch and each element is placed in O(1)
-// amortized time, the same fast path sacx.Build uses for cold parses.
-func buildBulk(doc *goddag.Document, records []record, nattrs int) error {
-	cutBorders(doc, records)
-	bulk := doc.BulkLoad()
-	bulk.Grow(len(records), nattrs)
-	bulk.Precut()
-	for _, rec := range records {
-		hier := doc.Hierarchy(rec.hier)
-		if _, err := bulk.Append(hier, rec.tag, rec.attrs, rec.span); err != nil {
-			return fmt.Errorf("store: decode: %w", err)
-		}
-	}
-	return nil
-}
-
-// buildReplay inserts records one by one through the order-insensitive
-// InsertElement path. It is the fallback for files whose elements are not
-// in document order and the reference implementation the differential
-// tests hold buildBulk against.
-func buildReplay(doc *goddag.Document, records []record) error {
-	cutBorders(doc, records)
-	for _, rec := range records {
-		hier := doc.Hierarchy(rec.hier)
-		if _, err := doc.InsertElement(hier, rec.tag, rec.attrs, rec.span); err != nil {
-			return fmt.Errorf("store: decode: %w", err)
-		}
-	}
-	return nil
+	return doc, records, nil
 }
 
 // encoder writes primitives, remembering the first error.

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/corpus"
@@ -175,10 +178,14 @@ var errFail = errors.New("write failed")
 
 func spanOf(a, b int) document.Span { return document.NewSpan(a, b) }
 
-// TestDecodeBulkEqualsReplay holds the BulkBuilder decode path against the
-// order-insensitive InsertElement replay across the corpus grid: both
-// builders must produce byte-identical structures from the same records.
+// TestDecodeBulkEqualsReplay holds the record path every importer shares
+// (goddag's LoadRecords) against an InsertElement reference across the
+// corpus grid. LoadRecords gets the file's records shuffled; their Seq
+// keeps the source order of equal-span ties. The reference inserts the
+// same records in document order, ties by Seq. Both builds must dump
+// like the encoded document.
 func TestDecodeBulkEqualsReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
 	for _, words := range []int{60, 300} {
 		for _, h := range []int{1, 2, 4, 8} {
 			for _, density := range []float64{0.1, 0.5, 0.9} {
@@ -196,30 +203,30 @@ func TestDecodeBulkEqualsReplay(t *testing.T) {
 						t.Fatal(err)
 					}
 					data := buf.Bytes()
+					label := fmt.Sprintf("words=%d h=%d d=%.1f multibyte=%v", words, h, density, vocab != nil)
 
-					bulkDoc, records, nattrs, err := readBody(bytes.NewReader(data))
+					bulkDoc, records, err := readBody(bytes.NewReader(data))
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !recordsOrdered(records) {
-						t.Fatalf("words=%d h=%d d=%.1f: Encode emitted out-of-order records", words, h, density)
-					}
-					if err := buildBulk(bulkDoc, records, nattrs); err != nil {
+					rng.Shuffle(len(records), func(i, j int) { records[i], records[j] = records[j], records[i] })
+					if err := bulkDoc.LoadRecords(records); err != nil {
 						t.Fatal(err)
 					}
-					replayDoc, records2, _, err := readBody(bytes.NewReader(data))
+					replayDoc, records2, err := readBody(bytes.NewReader(data))
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := buildReplay(replayDoc, records2); err != nil {
-						t.Fatal(err)
-					}
+					insertRecords(t, replayDoc, records2)
 					if err := bulkDoc.Check(); err != nil {
-						t.Fatalf("words=%d h=%d d=%.1f: bulk decode: %v", words, h, density, err)
+						t.Fatalf("%s: bulk decode: %v", label, err)
 					}
-					if goddag.Dump(bulkDoc) != goddag.Dump(replayDoc) {
-						t.Fatalf("words=%d h=%d d=%.1f multibyte=%v: bulk decode differs from replay decode",
-							words, h, density, vocab != nil)
+					want := goddag.Dump(doc)
+					if goddag.Dump(bulkDoc) != want {
+						t.Fatalf("%s: LoadRecords decode differs from the encoded document", label)
+					}
+					if goddag.Dump(replayDoc) != want {
+						t.Fatalf("%s: InsertElement reference differs from the encoded document", label)
 					}
 				}
 			}
@@ -227,9 +234,49 @@ func TestDecodeBulkEqualsReplay(t *testing.T) {
 	}
 }
 
+// insertRecords is the reference builder: borders cut, then one
+// InsertElement per record in document order, equal-span ties by Seq
+// (inner first, so each later insert wraps the earlier one).
+func insertRecords(t *testing.T, doc *goddag.Document, records []goddag.Record) {
+	t.Helper()
+	sort.SliceStable(records, func(i, j int) bool {
+		if c := document.CompareSpans(records[i].Span, records[j].Span); c != 0 {
+			return c < 0
+		}
+		return records[i].Seq < records[j].Seq
+	})
+	hiers := doc.Hierarchies()
+	for _, r := range records {
+		if _, err := doc.InsertElement(hiers[r.Hier], r.Tag, r.Attrs, r.Span); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDecodeCoextensiveNesting round-trips coextensive elements of one
+// hierarchy through the v2 format: Encode writes them outer first, and
+// Decode must nest them back the same way.
+func TestDecodeCoextensiveNesting(t *testing.T) {
+	doc := goddag.New("r", "abcdefgh")
+	h := doc.AddHierarchy("h")
+	for _, tag := range []string{"inner", "outer"} { // each insert wraps the last
+		if _, err := doc.InsertElement(h, tag, nil, spanOf(2, 6)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tag := range []string{"lb", "pb"} {
+		if _, err := doc.InsertElement(h, tag, nil, spanOf(7, 7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := goddag.Dump(roundTrip(t, doc)), goddag.Dump(doc); got != want {
+		t.Errorf("v2 round trip changed the nesting:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestDecodeUnorderedFallsBack crafts a file whose elements are stored out
 // of document order (Encode never does this) and checks Decode still
-// accepts it through the InsertElement fallback.
+// accepts it: the record path sorts whatever order it is given.
 func TestDecodeUnorderedFallsBack(t *testing.T) {
 	var buf bytes.Buffer
 	h := crc32.New(crcTable)

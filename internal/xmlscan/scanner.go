@@ -790,46 +790,6 @@ func indexFrom(b []byte, from int, sub string) int {
 	return from + i
 }
 
-// Tokens scans src to completion and returns all tokens. Because the
-// result retains every token, attribute slices are copied out of the
-// shared buffer when Options.ReuseAttrs is set.
-func Tokens(src []byte, opts Options) ([]Token, error) {
-	s := New(src, opts)
-	var out []Token
-	for {
-		tok, err := s.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if opts.ReuseAttrs && len(tok.Attrs) > 0 {
-			tok.Attrs = append([]Attr(nil), tok.Attrs...)
-		}
-		out = append(out, tok)
-	}
-}
-
-// Content returns the character content of src: the concatenation of all
-// text and CDATA, with references decoded.
-func Content(src []byte) (string, error) {
-	s := New(src, Options{})
-	var b strings.Builder
-	for {
-		tok, err := s.Next()
-		if err == io.EOF {
-			return b.String(), nil
-		}
-		if err != nil {
-			return "", err
-		}
-		if tok.Kind == KindText || tok.Kind == KindCDATA {
-			b.WriteString(tok.Text)
-		}
-	}
-}
-
 // EscapeText writes s with <, >, & escaped for use as character data.
 // Strings that need no escaping are returned unchanged, without copying.
 func EscapeText(s string) string {

@@ -8,11 +8,48 @@ import (
 	"unicode/utf8"
 )
 
+// collectTokens scans src to completion and returns all tokens. Because
+// the result retains every token, attribute slices are copied out of the
+// shared buffer when Options.ReuseAttrs is set.
+func collectTokens(src []byte, opts Options) ([]Token, error) {
+	s := New(src, opts)
+	var out []Token
+	for {
+		tok, err := s.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if opts.ReuseAttrs && len(tok.Attrs) > 0 {
+			tok.Attrs = append([]Attr(nil), tok.Attrs...)
+		}
+		out = append(out, tok)
+	}
+}
+
+// collectContent returns the character content of src: the
+// concatenation of all text and CDATA, with references decoded.
+func collectContent(src []byte) (string, error) {
+	toks, err := collectTokens(src, Options{})
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	for _, tok := range toks {
+		if tok.Kind == KindText || tok.Kind == KindCDATA {
+			b.WriteString(tok.Text)
+		}
+	}
+	return b.String(), nil
+}
+
 func mustTokens(t *testing.T, src string) []Token {
 	t.Helper()
-	toks, err := Tokens([]byte(src), Options{})
+	toks, err := collectTokens([]byte(src), Options{})
 	if err != nil {
-		t.Fatalf("Tokens(%q): %v", src, err)
+		t.Fatalf("collectTokens(%q): %v", src, err)
 	}
 	return toks
 }
@@ -68,7 +105,7 @@ func TestEntityDecoding(t *testing.T) {
 }
 
 func TestCustomEntities(t *testing.T) {
-	toks, err := Tokens([]byte(`<r>&thorn;</r>`), Options{Entities: map[string]string{"thorn": "þ"}})
+	toks, err := collectTokens([]byte(`<r>&thorn;</r>`), Options{Entities: map[string]string{"thorn": "þ"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +143,7 @@ func TestCDATA(t *testing.T) {
 }
 
 func TestCoalesceCDATA(t *testing.T) {
-	toks, err := Tokens([]byte(`<r><![CDATA[x]]></r>`), Options{CoalesceCDATA: true})
+	toks, err := collectTokens([]byte(`<r><![CDATA[x]]></r>`), Options{CoalesceCDATA: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +159,7 @@ func TestCommentsSkippedByDefault(t *testing.T) {
 			t.Fatal("comment not skipped")
 		}
 	}
-	toks2, err := Tokens([]byte(`<r><!-- hi -->x</r>`), Options{KeepComments: true})
+	toks2, err := collectTokens([]byte(`<r><!-- hi -->x</r>`), Options{KeepComments: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +175,7 @@ func TestCommentsSkippedByDefault(t *testing.T) {
 }
 
 func TestProcInst(t *testing.T) {
-	toks, err := Tokens([]byte(`<?xml version="1.0"?><r><?php echo?></r>`), Options{KeepProcInsts: true})
+	toks, err := collectTokens([]byte(`<?xml version="1.0"?><r><?php echo?></r>`), Options{KeepProcInsts: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,13 +313,13 @@ func TestWellFormednessErrors(t *testing.T) {
 		{`<r>&#0;</r>`, "invalid character reference"},
 	}
 	for _, c := range bad {
-		_, err := Tokens([]byte(c.src), Options{})
+		_, err := collectTokens([]byte(c.src), Options{})
 		if err == nil {
-			t.Errorf("Tokens(%q): expected error containing %q, got nil", c.src, c.wantSub)
+			t.Errorf("collectTokens(%q): expected error containing %q, got nil", c.src, c.wantSub)
 			continue
 		}
 		if !strings.Contains(err.Error(), c.wantSub) {
-			t.Errorf("Tokens(%q): error %q does not contain %q", c.src, err, c.wantSub)
+			t.Errorf("collectTokens(%q): error %q does not contain %q", c.src, err, c.wantSub)
 		}
 	}
 }
@@ -304,7 +341,7 @@ func TestErrorIsSticky(t *testing.T) {
 }
 
 func TestSyntaxErrorFields(t *testing.T) {
-	_, err := Tokens([]byte("<r>\n<bad</r>"), Options{})
+	_, err := collectTokens([]byte("<r>\n<bad</r>"), Options{})
 	se, ok := err.(*SyntaxError)
 	if !ok {
 		t.Fatalf("got %T, want *SyntaxError", err)
@@ -318,7 +355,7 @@ func TestSyntaxErrorFields(t *testing.T) {
 }
 
 func TestContent(t *testing.T) {
-	got, err := Content([]byte(`<r>ab<w>c</w><![CDATA[d]]>e</r>`))
+	got, err := collectContent([]byte(`<r>ab<w>c</w><![CDATA[d]]>e</r>`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +416,7 @@ func TestRoundTripEscape(t *testing.T) {
 			}
 		}
 		src := "<r>" + EscapeText(s) + "</r>"
-		got, err := Content([]byte(src))
+		got, err := collectContent([]byte(src))
 		if err != nil {
 			return false
 		}
@@ -402,7 +439,7 @@ func TestRoundTripAttr(t *testing.T) {
 			}
 		}
 		src := `<r a="` + EscapeAttr(s) + `"/>`
-		toks, err := Tokens([]byte(src), Options{})
+		toks, err := collectTokens([]byte(src), Options{})
 		if err != nil {
 			return false
 		}
@@ -535,7 +572,7 @@ func TestEntityTextPositions(t *testing.T) {
 // bytes inside the section.
 func TestCDATACoalescingPositions(t *testing.T) {
 	src := `<r>ab<![CDATA[<&]]>cd<w/></r>`
-	toks, err := Tokens([]byte(src), Options{CoalesceCDATA: true})
+	toks, err := collectTokens([]byte(src), Options{CoalesceCDATA: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,14 +636,14 @@ func TestErrorLineColLazy(t *testing.T) {
 		{"<r>x</r>\nmore", 1, 9}, // content outside root, anchored at the run start
 	}
 	for _, c := range cases {
-		_, err := Tokens([]byte(c.src), Options{})
+		_, err := collectTokens([]byte(c.src), Options{})
 		se, ok := err.(*SyntaxError)
 		if !ok {
-			t.Errorf("Tokens(%q): got %T (%v), want *SyntaxError", c.src, err, err)
+			t.Errorf("collectTokens(%q): got %T (%v), want *SyntaxError", c.src, err, err)
 			continue
 		}
 		if se.Line != c.line || se.Col != c.col {
-			t.Errorf("Tokens(%q): error at %d:%d, want %d:%d (%v)", c.src, se.Line, se.Col, c.line, c.col, se)
+			t.Errorf("collectTokens(%q): error at %d:%d, want %d:%d (%v)", c.src, se.Line, se.Col, c.line, c.col, se)
 		}
 	}
 }
@@ -679,10 +716,10 @@ func TestEscapeFastPathsReturnInput(t *testing.T) {
 	}
 }
 
-// TestTokensCopiesReusedAttrs ensures Tokens (which retains every token)
+// TestTokensCopiesReusedAttrs ensures collectTokens (which retains every token)
 // detaches attribute slices from the shared ReuseAttrs buffer.
 func TestTokensCopiesReusedAttrs(t *testing.T) {
-	toks, err := Tokens([]byte(`<r><a x="1"/><b y="2"/></r>`), Options{ReuseAttrs: true})
+	toks, err := collectTokens([]byte(`<r><a x="1"/><b y="2"/></r>`), Options{ReuseAttrs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
