@@ -175,6 +175,50 @@ func BenchmarkAxis(b *testing.B) {
 	}
 }
 
+// BenchmarkSpanJoin times covered and covering steps, the span join's
+// shapes, on one 8,000-word document: root-anchored joins between two
+// buckets, a multi-step origin list, and few-origin shapes that probe
+// per origin, each through the planner (Stream and Count) and under
+// Options.Reference.
+func BenchmarkSpanJoin(b *testing.B) {
+	doc, err := corpus.Generate(corpus.DefaultConfig(8000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := []struct{ name, query string }{
+		{"line-covered-w", "//line/covered::w"},
+		{"all-covered-all", "//*/covered::*"},
+		{"w-covering-line", "//w/covering::line"},
+		{"s-covering-line", "//s/covering::line"},
+		{"page-line-covered-w", "//page/line/covered::w"},
+		{"dmg-covered-w", "//dmg/covered::w"},
+		{"dmg-covering-all", "//dmg/covering::*"},
+		{"line-covering-all", "//line/covering::*"},
+		{"s-covering-all", "//s/covering::*"},
+	}
+	for _, qc := range queries {
+		q := xpath.MustCompile(qc.query)
+		for _, mode := range []struct {
+			name string
+			opts xpath.Options
+		}{{"default", xpath.Options{}}, {"reference", xpath.Options{Reference: true}}} {
+			b.Run(qc.name+"/"+mode.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					st, err := q.StreamWithOptions(doc, mode.opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := st.Count(); err != nil {
+						b.Fatal(err)
+					}
+					st.Close()
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkOverlappingAxisOnly isolates one overlapping-axis evaluation
 // (context fixed), the unit the D3 design decision optimizes.
 func BenchmarkOverlappingAxisOnly(b *testing.B) {

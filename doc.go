@@ -41,7 +41,9 @@
 // bitset deduplication (no hashing of node identities), descendant
 // enumeration is an O(1) slice of the pre-order array, and name tests on
 // the descendant, following, preceding, and covered axes narrow through
-// the name index instead of enumerating whole axes. Element insertions
+// the name index instead of enumerating whole axes, and covered/covering
+// steps from many origins run as one span join over two start-sorted
+// buckets. Element insertions
 // and removals *repair* all of these indexes in place (splice + local
 // renumber); text edits fall back to lazy from-scratch rebuilds.
 // Documents are safe for concurrent querying; see internal/goddag's

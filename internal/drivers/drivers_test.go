@@ -362,6 +362,29 @@ func TestMilestoneErrors(t *testing.T) {
 	}
 }
 
+// TestStandoffNameErrors: standoff carries tags, attribute names and
+// hierarchy names as attribute values; a decoder that accepted a name
+// the other formats cannot write would hand their encoders a document
+// they write as malformed or misread XML.
+func TestStandoffNameErrors(t *testing.T) {
+	bad := []string{
+		`<standoff root="r"><text>ab</text><hierarchy name="h"><el tag="a b" start="0" end="1"/></hierarchy></standoff>`,                      // tag with a space
+		`<standoff root="r"><text>ab</text><hierarchy name="h"><el tag="1x" start="0" end="1"/></hierarchy></standoff>`,                       // tag starting with a digit
+		`<standoff root="r"><text>ab</text><hierarchy name="h"><el tag="w" start="0" end="1"><at n="1x" v="v"/></el></hierarchy></standoff>`,  // attribute name starting with a digit
+		`<standoff root="r"><text>ab</text><hierarchy name="h"><el tag="w" start="0" end="1"><at n="a=b" v="v"/></el></hierarchy></standoff>`, // attribute name with '='
+		`<standoff root="r s"><text>ab</text></standoff>`,                                                                                     // root tag with a space
+	}
+	for _, src := range bad {
+		if _, err := DecodeStandoff([]byte(src)); err == nil {
+			t.Errorf("DecodeStandoff(%q): expected error", src)
+		}
+	}
+	good := `<standoff root="r"><text>ab</text><hierarchy name="h"><el tag="x:w-1.a" start="0" end="1"><at n="_n" v="1 x"/></el></hierarchy></standoff>`
+	if _, err := DecodeStandoff([]byte(good)); err != nil {
+		t.Errorf("DecodeStandoff(%q): %v", good, err)
+	}
+}
+
 func TestFragmentationErrors(t *testing.T) {
 	bad := []string{
 		`<r chx-hierarchies="a b"><x chx-h="b" chx-id="1">ab</x><y chx-h="b" chx-id="1">cd</y></r>`,             // tags disagree

@@ -62,7 +62,11 @@ func EncodeStandoff(doc *goddag.Document, opts EncodeOptions) ([]byte, error) {
 }
 
 // DecodeStandoff parses the standoff representation into a GODDAG. The
-// document's names and attribute values alias data. A hierarchy lists
+// document's names and attribute values alias data. The root tag,
+// element tags and attribute names arrive as attribute values, so they
+// are checked to be XML names, and an element's attribute names to be
+// distinct and outside the reserved chx- prefix: the other formats write
+// them as names. Hierarchy names must fit a chx-hierarchies list. A hierarchy lists
 // its elements in pre-order, outer before inner on equal spans, so among
 // equal spans the element listed last is the inner one.
 func DecodeStandoff(data []byte) (*goddag.Document, error) {
@@ -86,6 +90,9 @@ func DecodeStandoff(data []byte) (*goddag.Document, error) {
 				if rootTag == "" {
 					return fmt.Errorf("missing root attribute")
 				}
+				if !xmlscan.IsName(rootTag) {
+					return fmt.Errorf("root tag %q is not an XML name", rootTag)
+				}
 			case "text":
 				if tok.SelfClosing {
 					sawText = true
@@ -96,6 +103,9 @@ func DecodeStandoff(data []byte) (*goddag.Document, error) {
 				name, ok := tok.Attr("name")
 				if !ok || name == "" {
 					return fmt.Errorf("hierarchy without name")
+				}
+				if err := checkHierName(name); err != nil {
+					return err
 				}
 				if hier >= 0 {
 					return fmt.Errorf("<hierarchy> inside <hierarchy>")
@@ -117,6 +127,9 @@ func DecodeStandoff(data []byte) (*goddag.Document, error) {
 				if tag == "" || startS == "" || endS == "" {
 					return fmt.Errorf("el needs tag/start/end at offset %d", tok.Offset)
 				}
+				if !xmlscan.IsName(tag) {
+					return fmt.Errorf("el tag %q is not an XML name", tag)
+				}
 				start, err1 := strconv.Atoi(startS)
 				end, err2 := strconv.Atoi(endS)
 				if err1 != nil || err2 != nil || start < 0 || end < start {
@@ -135,6 +148,17 @@ func DecodeStandoff(data []byte) (*goddag.Document, error) {
 				v, _ := tok.Attr("v")
 				if n == "" {
 					return fmt.Errorf("<at> without n")
+				}
+				if !xmlscan.IsName(n) {
+					return fmt.Errorf("attribute name %q is not an XML name", n)
+				}
+				if strings.HasPrefix(n, "chx-") {
+					return fmt.Errorf("attribute name %q is reserved for the milestone and fragmentation formats", n)
+				}
+				for _, a := range set.arena[attrLo:] {
+					if a.Name == n {
+						return fmt.Errorf("duplicate attribute %q", n)
+					}
 				}
 				set.arena = append(set.arena, goddag.Attr{Name: n, Value: v})
 			default:

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -143,6 +144,68 @@ func TestClientDisconnectCancelsEvaluation(t *testing.T) {
 	}
 	if w.Body.Len() != 0 {
 		t.Errorf("499 carries a body: %q", w.Body.String())
+	}
+}
+
+// errAfterContext is a request context that reports context.Canceled
+// from its (after+1)-th Err call on. Its Done channel never closes, so
+// only code that polls Err — the evaluator's checkpoints — sees it go.
+type errAfterContext struct {
+	context.Context
+	done  chan struct{}
+	after int64
+	calls atomic.Int64
+}
+
+func newErrAfterContext(after int64) *errAfterContext {
+	return &errAfterContext{Context: context.Background(), done: make(chan struct{}), after: after}
+}
+
+func (c *errAfterContext) Done() <-chan struct{} { return c.done }
+
+func (c *errAfterContext) Err() error {
+	if c.calls.Add(1) > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelledJoinRead: a client that goes away while the span join
+// streams //*/covered::* ends the read like any other cancelled read:
+// 499, no body, the cancelled counter. The cancellation lands halfway
+// through the context polls the whole read makes, which the join's
+// limiter ticks dominate.
+func TestCancelledJoinRead(t *testing.T) {
+	srv, _ := newFixture(t, 8000, Config{})
+	h := srv.Handler()
+	warm(t, srv, "ms")
+	body := `{"doc":"ms","query":"//*/covered::*","format":"count"}`
+	serve := func(ctx context.Context) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)).WithContext(ctx)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		return w
+	}
+
+	live := newErrAfterContext(1 << 62)
+	if w := serve(live); w.Code != http.StatusOK {
+		t.Fatalf("uncancelled join read: %d %s", w.Code, w.Body.String())
+	}
+	polls := live.calls.Load()
+	if polls < 8 {
+		t.Fatalf("the join read polled its context %d times, too few to cancel it halfway", polls)
+	}
+
+	before := srv.cancelled.Value()
+	w := serve(newErrAfterContext(polls / 2))
+	if w.Code != statusClientClosedRequest {
+		t.Fatalf("join read cancelled halfway: %d %s", w.Code, w.Body.String())
+	}
+	if w.Body.Len() != 0 {
+		t.Errorf("499 carries a body: %q", w.Body.String())
+	}
+	if got := srv.cancelled.Value(); got != before+1 {
+		t.Errorf("cancelled counter %d -> %d, want +1", before, got)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/xpath"
 )
 
 // TestQueryTraceExplain: a /query body with "trace": true gets back the
@@ -210,6 +211,23 @@ func TestStatsMatchesMetrics(t *testing.T) {
 	}
 	if rl.P50US <= 0 || rl.P99US < rl.P50US {
 		t.Errorf("implausible quantiles: %+v", rl)
+	}
+
+	// Plan kinds are engine counters: every kind has its label on
+	// /metrics, the span join's included, and each series reads what
+	// the engine counted.
+	if w := post(t, h, `{"doc":"ms","query":"//line/covered::w","format":"count"}`); w.Code != http.StatusOK {
+		t.Fatalf("join query: %d", w.Code)
+	}
+	body = get(t, h, "/metrics").Body.String()
+	kinds := xpath.Counters().PlansByKind
+	if kinds["join"] == 0 {
+		t.Errorf("engine counted no join plan: %v", kinds)
+	}
+	for _, kind := range []string{"eval", "scan", "semi-join", "join", "count", "exists"} {
+		if v := metricValue(body, `cx_plans_total{kind="`+kind+`"}`); v != float64(kinds[kind]) {
+			t.Errorf("plans of kind %s: engine=%d metrics=%v", kind, kinds[kind], v)
+		}
 	}
 }
 

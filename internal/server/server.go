@@ -504,8 +504,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			plan = st.Explain()
 		}
 		// Each branch records its own encode stage. It also covers lazy
-		// stream pulls: scan and semi-join plans do their evaluation
-		// inside Next, interleaved with encoding by design.
+		// stream pulls: scan, semi-join and join plans do their
+		// evaluation inside Next, interleaved with encoding by design.
 		switch req.Format {
 		case "", "json":
 			if v, ok := st.Value(); ok {

@@ -618,11 +618,27 @@ func (ev *evaluator) evalPath(p *pathExpr, ctx evalCtx) (Value, error) {
 // evalStep applies one step to every node of the current set: each
 // origin's candidates are filtered by the predicates with XPath position
 // semantics (see stepFrom), and the per-origin results are combined by
-// a document-order merge.
+// a document-order merge. A covered or covering step without predicates
+// from several origins instead drains one span join (see spanJoin),
+// whose output needs no merge; positions there would be per origin, so
+// predicated steps keep the per-origin path.
 func (ev *evaluator) evalStep(st step, current []goddag.Node, vars Bindings) ([]goddag.Node, error) {
 	indexed := ev.indexed(st)
+	// A step that reads its bucket looks it up once, not once per
+	// origin: the lookup takes the document's lock.
+	var els []*goddag.Element
+	if !ev.opts.Reference && elementTest(st.test) {
+		switch st.axis {
+		case AxisDescendant, AxisDescendantOrSelf, AxisFollowing, AxisPreceding, AxisCovered, AxisCovering:
+			els = bucket(ev.doc, st.test)
+		}
+		if (st.axis == AxisCovered || st.axis == AxisCovering) && len(current) > 1 && len(st.preds) == 0 &&
+			joinPays(st.axis, len(current), len(els)) && startsSorted(current) {
+			return newSpanJoin(st.axis, els, nil, current, ev.lim).drain()
+		}
+	}
 	if len(current) == 1 {
-		cands, err := ev.stepFrom(st, indexed, current[0], vars)
+		cands, err := ev.stepFrom(st, indexed, els, current[0], vars)
 		if err != nil {
 			return nil, err
 		}
@@ -630,7 +646,7 @@ func (ev *evaluator) evalStep(st step, current []goddag.Node, vars Bindings) ([]
 	}
 	lists := make([][]goddag.Node, 0, len(current))
 	for _, n := range current {
-		cands, err := ev.stepFrom(st, indexed, n, vars)
+		cands, err := ev.stepFrom(st, indexed, els, n, vars)
 		if err != nil {
 			return nil, err
 		}
@@ -648,11 +664,12 @@ func (ev *evaluator) evalStep(st step, current []goddag.Node, vars Bindings) ([]
 // nearest-first). The indexed following, preceding and covered scans
 // come in document order from their bucket; materialized, those axes
 // list elements before leaves and are sorted first. The preceding axis
-// counts backwards through document order.
-func (ev *evaluator) stepFrom(st step, indexed bool, n goddag.Node, vars Bindings) ([]goddag.Node, error) {
+// counts backwards through document order. els is the step's bucket
+// when an indexed step reads one (see evalStep).
+func (ev *evaluator) stepFrom(st step, indexed bool, els []*goddag.Element, n goddag.Node, vars Bindings) ([]goddag.Node, error) {
 	var cands []goddag.Node
 	if indexed {
-		cands = ev.indexedCands(st, n)
+		cands = ev.indexedCands(st, els, n)
 		if err := ev.lim.Visit(len(cands) + 1); err != nil {
 			return nil, err
 		}
@@ -731,8 +748,9 @@ func (ev *evaluator) indexed(st step) bool {
 // axisNodes + filterTest would produce; following, preceding and
 // covered come in the bucket's document order. Either way it is the
 // order stepFrom numbers positional predicates in (after reversing
-// preceding).
-func (ev *evaluator) indexedCands(st step, n goddag.Node) []goddag.Node {
+// preceding). nm is the step's bucket, looked up once per step: the
+// lookup takes the document's lock.
+func (ev *evaluator) indexedCands(st step, nm []*goddag.Element, n goddag.Node) []goddag.Node {
 	match := func(e *goddag.Element) bool {
 		return st.test.kind == testAny || e.Name() == st.test.name
 	}
@@ -767,9 +785,8 @@ func (ev *evaluator) indexedCands(st step, n goddag.Node) []goddag.Node {
 	case AxisDescendant, AxisDescendantOrSelf:
 		switch v := n.(type) {
 		case *goddag.Root:
-			els := bucket(ev.doc, st.test)
-			out = make([]goddag.Node, len(els))
-			for i, e := range els {
+			out = make([]goddag.Node, len(nm))
+			for i, e := range nm {
 				out[i] = e
 			}
 			return out
@@ -786,7 +803,6 @@ func (ev *evaluator) indexedCands(st step, n goddag.Node) []goddag.Node {
 				}
 				return out
 			}
-			nm := ev.doc.ElementsNamed(st.test.name)
 			if len(nm) <= len(sub) {
 				// Scan the name index's span window, keeping subtree
 				// members (O(1) pre-order interval test per candidate).
@@ -845,7 +861,6 @@ func (ev *evaluator) indexedCands(st step, n goddag.Node) []goddag.Node {
 
 	case AxisFollowing:
 		sp := n.Span()
-		nm := bucket(ev.doc, st.test)
 		i := sort.Search(len(nm), func(i int) bool { return nm[i].Span().Start >= sp.End })
 		for _, e := range nm[i:] {
 			if !goddag.NodesEqual(e, n) && spanAfter(e.Span(), sp) {
@@ -855,7 +870,7 @@ func (ev *evaluator) indexedCands(st step, n goddag.Node) []goddag.Node {
 
 	case AxisPreceding:
 		sp := n.Span()
-		for _, e := range bucket(ev.doc, st.test) {
+		for _, e := range nm {
 			if e.Span().Start >= sp.Start && !e.Span().IsEmpty() {
 				break // can no longer end before sp begins
 			}
@@ -866,7 +881,6 @@ func (ev *evaluator) indexedCands(st step, n goddag.Node) []goddag.Node {
 
 	case AxisCovered:
 		sp := n.Span()
-		nm := bucket(ev.doc, st.test)
 		i := sort.Search(len(nm), func(i int) bool { return nm[i].Span().Start >= sp.Start })
 		for _, e := range nm[i:] {
 			if e.Span().Start > sp.End {

@@ -25,6 +25,10 @@ func FuzzParse(f *testing.F) {
 		"//res/following::w", "//res/preceding::w",
 		"//line/covered::w", "//w/ancestor::*", "//w | //line",
 		"count(//dmg/overlapping::w)",
+		// Span joins: covered and covering between buckets, self-joins,
+		// several origin steps.
+		"//w/covered::w", "//*/covering::*", "//line/covering::w",
+		"//w/covering::line", "//page/line/covered::w", "count(//*/covered::*)",
 		// Positional steps on the indexed and reverse axes.
 		"//dmg/following::w[1]", "//w[3]/preceding::w[1]",
 		"//line/covered::w[2]", "//dmg/ancestor-or-self::*[last()]",

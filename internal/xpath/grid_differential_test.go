@@ -39,6 +39,15 @@ var axisCatalogQueries = []string{
 	// covering / covered
 	"//w/covering::*", "//dmg/covering::node()", "//mark/covering::*",
 	"//line/covered::w", "//s/covered::node()", "//line/covered::mark",
+	// covered / covering as span joins: self-joins (identity exclusion),
+	// milestones (empty spans) on either side, * on either side, a
+	// multi-step origin list, a single origin, and sparse origins whose
+	// gaps the covered join gallops over
+	"//w/covered::w", "//w/covering::w", "//mark/covered::mark",
+	"//mark/covering::mark", "//mark/covering::*", "//line/covering::w",
+	"//w/covering::line", "//s/covering::line", "//line/covered::*",
+	"//*/covered::*", "//*/covering::*", "//page/line/covered::w",
+	"//w[7]/covering::*", "//dmg/covered::w", "//dmg/covered::*", "//res/covered::*",
 	// predicates (positional semantics are per origin) and unions
 	"//w[2]", "//s/w[3]", "//line/covered::w[2]", "//res/following::w[1]",
 	// positional predicates on every axis with indexed candidates, on
@@ -166,6 +175,7 @@ func TestConcurrentEval(t *testing.T) {
 	queries := []string{
 		"//w", "//dmg/overlapping::w", "//res/following::w", "//line/covered::node()",
 		"//w/ancestor::*", "//s/w[3]", "//w | //line", "count(//w)",
+		"//line/covered::w", "//*/covered::*", "//s/covering::line", "//page/line/covered::w",
 	}
 	compiled := make([]*Query, len(queries))
 	for i, qs := range queries {

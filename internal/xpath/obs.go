@@ -15,8 +15,6 @@ var engine struct {
 	visited    atomic.Uint64
 }
 
-const planKindCount = int(planExists) + 1
-
 // String names a plan kind the way Explain and the metrics labels do.
 func (k planKind) String() string {
 	switch k {
@@ -24,6 +22,8 @@ func (k planKind) String() string {
 		return "scan"
 	case planSemiJoin:
 		return "semi-join"
+	case planJoin:
+		return "join"
 	case planCount:
 		return "count"
 	case planExists:
@@ -41,7 +41,8 @@ type EngineCounters struct {
 	PlanCacheHits   uint64
 	PlanCacheMisses uint64
 	// PlansByKind counts executions by chosen plan shape, keyed by the
-	// planKind name ("scan", "semi-join", "count", "exists", "eval").
+	// planKind name ("scan", "semi-join", "join", "count", "exists",
+	// "eval").
 	PlansByKind map[string]uint64
 	// NodesVisited is the cumulative node-visit count of all evaluations
 	// that ran with a limiter (deadline, budget, or tracing). Limit-free
@@ -58,8 +59,8 @@ func Counters() EngineCounters {
 		NodesVisited:    engine.visited.Load(),
 		PlansByKind:     make(map[string]uint64, planKindCount),
 	}
-	for k := 0; k < planKindCount; k++ {
-		c.PlansByKind[planKind(k).String()] = engine.planKinds[k].Load()
+	for k := planKind(0); k < planKindCount; k++ {
+		c.PlansByKind[k.String()] = engine.planKinds[k].Load()
 	}
 	return c
 }

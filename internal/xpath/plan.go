@@ -22,6 +22,10 @@ import (
 //     rarer side. When bucket(b) is smaller than bucket(a) the plan
 //     iterates b and probes the span index for a witnessing a, instead
 //     of enumerating every overlap of every a.
+//   - planJoin: a span step //a/covered::b or //a/covering::b as one
+//     merge pass over the two start-sorted buckets (see spanJoin),
+//     instead of a window search per origin and a merge of the
+//     per-origin lists.
 //   - planCount / planExists: count(path), boolean(path) and not(path)
 //     over a streamable inner plan never materialize the node set —
 //     count() reads the bucket cardinality or drains the cursor, and
@@ -44,10 +48,11 @@ import (
 // document. Explain exposes it to clients via the server's explain flag.
 type Plan struct {
 	kind      planKind
-	test      nodeTest // planScan: the bucket to scan
+	test      nodeTest // planScan: the bucket to scan; planJoin: the origins
 	preds     []expr   // planScan: predicates pushed into the scan
-	outTest   nodeTest // planSemiJoin: output-side bucket
+	outTest   nodeTest // planSemiJoin, planJoin: output-side bucket
 	probeName string   // planSemiJoin: witness name ("" = any element)
+	axis      Axis     // planJoin: covered or covering
 	inner     *Plan    // planCount / planExists
 	negate    bool     // planExists: not(path)
 	lines     []string
@@ -59,8 +64,10 @@ const (
 	planEval planKind = iota
 	planScan
 	planSemiJoin
+	planJoin
 	planCount
 	planExists
+	planKindCount // not a kind: the number of kinds
 )
 
 // Explain returns the human-readable plan description, one decision per
@@ -220,6 +227,25 @@ func planNodes(doc *goddag.Document, p *pathExpr) (*Plan, bool) {
 			return &Plan{kind: planEval, lines: []string{
 				fmt.Sprintf("semi-join(forward): origin side %s (%d) is no larger than output side %s (%d); forward drive kept, materializing evaluator",
 					bucketLabel(s1.test), estA, bucketLabel(s2.test), estB),
+			}}, true
+		}
+
+		// Span join: //a/covered::b and //a/covering::b merge the two
+		// start-sorted buckets in one pass; the output is bucket order,
+		// dedup-free.
+		if descendantAxis(s1.axis) && elementTest(s1.test) && len(s1.preds) == 0 &&
+			(s2.axis == AxisCovered || s2.axis == AxisCovering) && elementTest(s2.test) && len(s2.preds) == 0 {
+			estA := len(bucket(doc, s1.test))
+			estB := len(bucket(doc, s2.test))
+			if !joinPays(s2.axis, estA, estB) {
+				return &Plan{kind: planEval, lines: []string{
+					fmt.Sprintf("join(per-origin): output side %s (%d) exceeds %d× origin side %s (%d); one span-index probe per origin, materializing evaluator",
+						bucketLabel(s2.test), estB, coveringJoinRatio, bucketLabel(s1.test), estA),
+				}}, true
+			}
+			return &Plan{kind: planJoin, test: s1.test, outTest: s2.test, axis: s2.axis, lines: []string{
+				fmt.Sprintf("join: %s::%s merges origin side %s (%d) with output side %s (%d) in one pass, document order, dedup-free",
+					s2.axis, s2.test.String(), bucketLabel(s1.test), estA, bucketLabel(s2.test), estB),
 			}}, true
 		}
 	}
@@ -509,6 +535,8 @@ func (ev *evaluator) nodeCursor(pl *Plan, vars Bindings) cursor {
 		return &predCursor{ev: ev, els: els, preds: pl.preds, vars: vars, pos: make([]int, len(pl.preds))}
 	case planSemiJoin:
 		return &semiJoinCursor{doc: ev.doc, els: bucket(ev.doc, pl.outTest), probeName: pl.probeName, lim: ev.lim}
+	case planJoin:
+		return newSpanJoin(pl.axis, bucket(ev.doc, pl.outTest), bucket(ev.doc, pl.test), nil, ev.lim)
 	}
 	return nil
 }
@@ -619,7 +647,8 @@ func (q *Query) StreamContext(ctx context.Context, doc *goddag.Document, b Budge
 
 // StreamWithOptions executes q lazily against doc with evaluation
 // options. Count/exists plans and materializing fallbacks execute
-// eagerly here; bucket scans and semi-joins defer all work to Next.
+// eagerly here; bucket scans, semi-joins and joins defer all work to
+// Next.
 func (q *Query) StreamWithOptions(doc *goddag.Document, opts Options) (*Stream, error) {
 	ev := acquireEvaluator(doc, q.source, opts)
 	if err := ev.lim.Err(); err != nil {
@@ -632,11 +661,12 @@ func (q *Query) StreamWithOptions(doc *goddag.Document, opts Options) (*Stream, 
 	s := &Stream{ev: ev, plan: pl}
 	var err error
 	// The eval span covers the eager shapes (count, exists, materialize);
-	// lazy cursors (scan, semi-join) do their work under the consumer's
-	// pulls, which the serving layer attributes to its encode stage.
+	// lazy cursors (scan, semi-join, join) do their work under the
+	// consumer's pulls, which the serving layer attributes to its encode
+	// stage.
 	sp = ev.tr.Begin("eval")
 	switch pl.kind {
-	case planScan, planSemiJoin:
+	case planScan, planSemiJoin, planJoin:
 		s.cur = ev.nodeCursor(pl, nil)
 	case planCount:
 		var n int
@@ -693,7 +723,7 @@ func (s *Stream) Next() (goddag.Node, error) {
 }
 
 // Size reports the exact number of nodes remaining, or -1 when unknown
-// without draining (predicate and semi-join plans). Scalar streams
+// without draining (predicate, semi-join and join plans). Scalar streams
 // report 0.
 func (s *Stream) Size() int {
 	if s.cur == nil {

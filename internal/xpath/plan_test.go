@@ -32,6 +32,12 @@ var plannerQueries = []string{
 	"//dmg/overlapping::w", "//w/overlapping::dmg", "//w/overlapping::*",
 	"//line/overlapping::w", "//mark/overlapping::w", "//w/overlapping::mark",
 	"//nosuch/overlapping::w", "//w/overlapping::nosuch",
+	// span joins: covered and covering, self-joins, milestones, *, empty
+	// sides, and a covering shape the size rule sends per origin
+	"//line/covered::w", "//w/covered::w", "//*/covered::*", "//mark/covered::mark",
+	"//line/covering::w", "//w/covering::line", "//w/covering::w", "//*/covering::*",
+	"//mark/covering::*", "//nosuch/covered::w", "//w/covering::nosuch", "//dmg/covering::*",
+	"//dmg/covered::w", "//res/covered::*",
 }
 
 // plannerScalarQueries are the count/exists clamp forms; scalar results
@@ -42,6 +48,8 @@ var plannerScalarQueries = []string{
 	"count(//w/overlapping::dmg)", "count(//dmg/overlapping::w)",
 	"boolean(//w)", "boolean(//nosuch)", "boolean(//w/overlapping::dmg)",
 	"not(//w)", "not(//nosuch)", "not(//w[@n='5'])",
+	"count(//line/covered::w)", "count(//w/covering::line)", "boolean(//w/covering::w)",
+	"not(//mark/covering::mark)",
 }
 
 // planConfigs are the evaluator configurations a planner-equivalence
@@ -210,6 +218,11 @@ func TestPlanExplainShapes(t *testing.T) {
 		{"//w/overlapping::dmg", planSemiJoin},  // output side rarer? dmg < w
 		{"//dmg/overlapping::w", planEval},      // forward drive kept
 		{"//nosuch/overlapping::w", planScan},   // empty origin bucket
+		{"//line/covered::w", planJoin},
+		{"//*/covered::*", planJoin},
+		{"//w/covering::line", planJoin},
+		{"//dmg/covering::*", planEval}, // output side too large: per origin
+		{"count(//line/covered::w)", planCount},
 		{"count(//w)", planCount},
 		{"count(//w[@n='5'])", planCount},
 		{"boolean(//w)", planExists},
@@ -281,6 +294,7 @@ func TestConcurrentStream(t *testing.T) {
 	queries := []string{
 		"//w", "//w[@n='5']", "//w/overlapping::dmg", "//dmg/overlapping::w",
 		"count(//w)", "not(//nosuch)", "/descendant::w[position()<7]",
+		"//line/covered::w", "//*/covered::*", "//w/covering::line", "count(//*/covering::*)",
 	}
 	compiled := make([]*Query, len(queries))
 	for i, qs := range queries {

@@ -26,7 +26,10 @@
 // planner (plan.go): before a query runs, its shape is matched against
 // a few plan kinds — name-bucket scans with statically-safe predicates
 // pushed into the scan, reversed semi-joins for //a/overlapping::b
-// driven from whichever side's bucket is smaller, and O(1)
+// driven from whichever side's bucket is smaller, span joins for
+// //a/covered::b and //a/covering::b that merge the two start-sorted
+// buckets in one pass (join.go; evalStep drains the same join for
+// covered/covering steps from several origins), and O(1)
 // count()/exists plans that read bucket cardinalities instead of
 // building node sets. Selectivity comes from the document's name-index
 // bucket sizes; the chosen plan is cached on the Query in an atomic
