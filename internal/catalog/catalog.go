@@ -563,9 +563,12 @@ func (c *Catalog) evictLocked() {
 func (c *Catalog) dropLocked(e *entry) {
 	c.lru.Remove(e.elem)
 	c.resident -= e.bytes
-	// Dropping the reference is also what unmaps a mapped document: the
-	// mapping's finalizer releases the pages once the last query holding
-	// the document finishes and the GC collects it.
+	// Dropping the reference is also what unmaps a mapped document.
+	// Nothing outside the document aliases its mapping (store copies
+	// the content and strings at open, and cached query plans name
+	// documents by serial), so once the last query holding it finishes
+	// the GC collects it, and the finalizer on its faultfs.Mapping
+	// releases the pages and their store.MappedBytes share.
 	e.doc = nil
 	e.bytes = 0
 	e.mapped = false

@@ -50,9 +50,10 @@ func wrap(g *goddag.Document) *Document {
 func FromGODDAG(g *goddag.Document) *Document { return wrap(g) }
 
 // Parse builds a document from a distributed concurrent XML document
-// (one XML document per hierarchy) using the SACX parser.
+// (one XML document per hierarchy) using the SACX parser, through the
+// drivers' distributed import path.
 func Parse(sources []sacx.Source) (*Document, error) {
-	g, err := sacx.Build(sources)
+	g, err := drivers.DecodeDistributedOrdered(sources)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,10 @@
 package drivers
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/goddag"
 	"repro/internal/sacx"
@@ -39,13 +41,44 @@ func DecodeDistributed(docs map[string][]byte) (*goddag.Document, error) {
 	for _, n := range names {
 		srcs = append(srcs, sacx.Source{Hierarchy: n, Data: docs[n]})
 	}
-	return sacx.Build(srcs)
+	return DecodeDistributedOrdered(srcs)
 }
 
 // DecodeDistributedOrdered parses hierarchy documents in the given order.
+// It is the distributed import path (DecodeDistributed and core.Parse
+// come here) and, like DecodeStandoff, rejects attribute names with the
+// chx- prefix the milestone and fragmentation encoders reserve for their
+// markers: a document carrying one would encode into a file its own
+// decoder misreads. sacx.Build itself keeps accepting them, since it is
+// also the plain XML reader of those encodings.
 func DecodeDistributedOrdered(srcs []sacx.Source) (*goddag.Document, error) {
 	if len(srcs) == 0 {
 		return nil, fmt.Errorf("drivers: no sources")
 	}
-	return sacx.Build(srcs)
+	doc, err := sacx.Build(srcs)
+	if err != nil {
+		return nil, err
+	}
+	for _, src := range srcs {
+		// Only a source whose bytes hold the prefix can carry the name.
+		if bytes.Contains(src.Data, []byte("chx-")) {
+			if err := reservedAttrs(doc); err != nil {
+				return nil, err
+			}
+			break
+		}
+	}
+	return doc, nil
+}
+
+// reservedAttrs reports the first chx- attribute name in doc.
+func reservedAttrs(doc *goddag.Document) error {
+	for _, e := range doc.Elements() {
+		for _, a := range e.Attrs() {
+			if strings.HasPrefix(a.Name, "chx-") {
+				return fmt.Errorf("drivers: %s element <%s>: attribute name %q is reserved for the milestone and fragmentation formats", e.Hierarchy().Name(), e.Name(), a.Name)
+			}
+		}
+	}
+	return nil
 }

@@ -385,6 +385,50 @@ func TestStandoffNameErrors(t *testing.T) {
 	}
 }
 
+// TestDistributedNameErrors: the milestone and fragmentation encoders
+// write chx- attributes as their markers, so the distributed import
+// rejects them as DecodeStandoff does; a document carrying one would
+// encode into a file its own decoder misreads. Every source is checked.
+func TestDistributedNameErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		srcs []string
+		bad  bool
+	}{
+		{"start marker", []string{`<r><w chx-s="h.0">ab</w></r>`}, true},
+		{"second source", []string{`<r>ab</r>`, `<r><w chx-id="1">ab</w></r>`}, true},
+		{"milestone", []string{`<r>a<pb chx-part="I"/>b</r>`}, true},
+		{"prefix only", []string{`<r><w chx="1" xchx-s="2" chx_s="3">ab</w></r>`}, false},
+		{"in text", []string{`<r><w n="chx-s">chx-s</w></r>`}, false},
+		{"root attribute", []string{`<r chx-hierarchies="h">ab</r>`}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var srcs []sacx.Source
+			for i, d := range tc.srcs {
+				srcs = append(srcs, sacx.Source{Hierarchy: string(rune('a' + i)), Data: []byte(d)})
+			}
+			doc, err := DecodeDistributedOrdered(srcs)
+			if tc.bad && (err == nil || !strings.Contains(err.Error(), "reserved")) {
+				t.Fatalf("err %v, want a reserved-name error", err)
+			}
+			if tc.bad {
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// An accepted document comes back through milestones.
+			enc, err := EncodeMilestones(doc, EncodeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DecodeMilestones(enc); err != nil {
+				t.Fatalf("milestones re-decode: %v\n%s", err, enc)
+			}
+		})
+	}
+}
+
 func TestFragmentationErrors(t *testing.T) {
 	bad := []string{
 		`<r chx-hierarchies="a b"><x chx-h="b" chx-id="1">ab</x><y chx-h="b" chx-id="1">cd</y></r>`,             // tags disagree

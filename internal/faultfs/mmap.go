@@ -8,8 +8,10 @@ import (
 )
 
 // The memory-mapping operations. OpMap is the open-without-decode read
-// path of the v3 store; OpUnmap fires when a mapping is released (on
-// catalog eviction, once the document becomes unreachable).
+// path of the v3 store; OpUnmap fires when a mapping is released: by an
+// explicit close, or by the store's finalizer on the Mapping once the
+// garbage collector has found the document built over it unreachable
+// (an evicted catalog document whose last query has finished).
 const (
 	OpMap   Op = "map"
 	OpUnmap Op = "unmap"
@@ -25,6 +27,13 @@ type Mapping struct {
 	once  sync.Once
 	unmap func() error
 	err   error
+}
+
+// NewMapping wraps data, read-only bytes that release frees, as a
+// Mapping; release runs once, on the first Close. It lets a Mapper
+// outside this package back mappings its own way.
+func NewMapping(data []byte, release func() error) *Mapping {
+	return &Mapping{Data: data, unmap: release}
 }
 
 // Close releases the mapping. Safe to call more than once; after the

@@ -106,6 +106,7 @@ type Document struct {
 	hiers   map[string]*Hierarchy
 	order   []string // hierarchy insertion order
 	seq     int      // element insertion counter, for stable ordering
+	serial  uint64   // process-unique identity, see Serial
 
 	// Derived-index caches: Elements() and the query-path indexes are hot
 	// in evaluation, so the sorted cross-hierarchy element list, the span
@@ -155,13 +156,21 @@ type Document struct {
 func (d *Document) bump() { d.version++ }
 
 // Version reports the document's mutation counter. Derived snapshots
-// keyed on a (document, version) pair — the xpath planner's cached plans,
+// keyed on a (Serial, version) pair — the xpath planner's cached plans,
 // for instance — stay valid exactly while the version is unchanged.
 func (d *Document) Version() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.version
 }
+
+// serials numbers documents in creation order; see Serial.
+var serials atomic.Uint64
+
+// Serial reports a number no other document of this process shares.
+// Caches keyed on (serial, version) name a document state without
+// holding the document, so they never keep an evicted one alive.
+func (d *Document) Serial() uint64 { return d.serial }
 
 // New creates a document over the given character content with the given
 // root element tag (all hierarchies of a concurrent document share the
@@ -171,6 +180,7 @@ func New(rootTag, content string) *Document {
 		content: document.NewContent(content),
 		rootTag: rootTag,
 		hiers:   make(map[string]*Hierarchy),
+		serial:  serials.Add(1),
 	}
 	d.part = document.NewPartition(d.content.Len())
 	d.root = &Root{doc: d}

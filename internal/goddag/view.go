@@ -81,8 +81,16 @@ type DocView struct {
 	// access.
 	Materialize func() (*Columns, error)
 	// Keep pins the image's backing store (the file mapping) for as long
-	// as the document, whose strings alias it, remains reachable.
+	// as the document is reachable: a materialized document's ordinal
+	// tables alias it until a mutation promotes them. Nothing else the
+	// document hands out may alias a file mapping (Content and the
+	// strings are heap bytes), so once the document is unreachable the
+	// backing store can go too.
 	Keep any
+	// TextBytes is the size of the heap copy that Content and the string
+	// table slice, when the image made one; the resident footprint
+	// charges it from the open on.
+	TextBytes int64
 }
 
 // FromView creates a view-backed document: content and hierarchy shells
@@ -93,7 +101,7 @@ func FromView(v *DocView) *Document {
 		d.AddHierarchy(name)
 	}
 	d.view = v
-	d.residentBytes.Store(int64(512 + len(v.RootTag)))
+	d.residentBytes.Store(512 + int64(len(v.RootTag)) + v.TextBytes)
 	d.viewPending.Store(true)
 	return d
 }
@@ -113,10 +121,10 @@ func (d *Document) ViewErr() error {
 }
 
 // ResidentFootprint reports the heap bytes a still-mapped view-backed
-// document pins (materialized arenas and indexes; content and strings
-// stay in the mapping) — the amount a byte-budgeted cache should
-// charge. ok is false for heap documents and for promoted ones, whose
-// full Footprint applies.
+// document pins (the copied content and strings, then the materialized
+// arenas and indexes; the column arrays stay in the mapping) — the
+// amount a byte-budgeted cache should charge. ok is false for heap
+// documents and for promoted ones, whose full Footprint applies.
 func (d *Document) ResidentFootprint() (int64, bool) {
 	if d.view == nil || d.viewPromoted.Load() {
 		return 0, false
@@ -344,7 +352,7 @@ func (d *Document) materializeLocked() {
 	est += int64(totalTop) * ptrSize
 	est += int64(nl) * 8         // partition starts
 	est += int64(4*n) * 8        // span tree
-	est += int64(len(strs)) * 16 // string headers (bytes stay mapped)
+	est += int64(len(strs)) * 16 // string headers (their bytes are TextBytes)
 	if !cols.Aliased {
 		est += int64(len(cols.ByOrd))*4 + int64(len(cols.LeafOrd))*4
 	}

@@ -19,9 +19,10 @@ import (
 // migrates to v3 on its next save.
 var ErrV2 = errors.New("store: v2 format, decode required")
 
-// mappedBytes tracks the total bytes currently memory-mapped by open
-// Mapped handles; it decrements when a handle is closed (explicitly or
-// by its finalizer once the document graph is unreachable).
+// mappedBytes tracks the total bytes currently mapped by OpenMappedFile.
+// It falls when a handle is closed, or when the finalizer on its
+// faultfs.Mapping runs: after the garbage collector has found the
+// handle and its document unreachable.
 var mappedBytes atomic.Int64
 
 // MappedBytes reports the total bytes currently mapped by the store.
@@ -37,6 +38,12 @@ func MappedBytes() int64 { return mappedBytes.Load() }
 type Mapped struct {
 	data []byte
 	m    *faultfs.Mapping // nil for byte-backed opens
+
+	// The content section and the string blob as the document reads
+	// them, set by Document(). For file opens both are slices of one
+	// heap copy, so no string the document hands out aliases the
+	// mapping; byte-backed opens view data.
+	content, blob []byte
 
 	secs    [secMax + 1]secEntry
 	present [secMax + 1]bool
@@ -74,9 +81,14 @@ func (m *Mapped) SectionSizes() []int {
 func (m *Mapped) Size() int { return len(m.data) }
 
 // OpenMappedFile maps path through fsys and validates the v3 header.
-// The mapping stays alive while the returned handle — or the document
-// built from it — is reachable; it is released by Close or, failing
-// that, a finalizer.
+// The mapping stays alive while the returned handle or the document
+// built from it is reachable. Only the document's ordinal tables alias
+// it (Document copies the content and strings to the heap), and they
+// are reachable only through the document. Close releases the mapping
+// at once; otherwise a finalizer on the faultfs.Mapping does, once the
+// garbage collector has collected the handle and its document. The
+// finalizer cannot sit on the handle: the handle and its document point
+// at each other, and Go never runs a finalizer inside a cycle.
 func OpenMappedFile(fsys faultfs.FS, path string) (*Mapped, error) {
 	mp, err := faultfs.Map(fsys, path)
 	if err != nil {
@@ -89,7 +101,7 @@ func OpenMappedFile(fsys faultfs.FS, path string) (*Mapped, error) {
 	}
 	m.m = mp
 	mappedBytes.Add(int64(len(m.data)))
-	runtime.SetFinalizer(m, func(m *Mapped) { m.release() })
+	runtime.SetFinalizer(mp, unmap)
 	return m, nil
 }
 
@@ -115,20 +127,21 @@ func OpenMappedDoc(fsys faultfs.FS, path string) (*goddag.Document, *Mapped, err
 	return doc, m, nil
 }
 
-// release drops the mapping (idempotent).
-func (m *Mapped) release() {
-	if m.m != nil {
-		mappedBytes.Add(-int64(len(m.data)))
-		m.m.Close()
-		m.m = nil
-	}
+// unmap releases a file mapping and its share of mappedBytes.
+func unmap(mp *faultfs.Mapping) {
+	mappedBytes.Add(-int64(len(mp.Data)))
+	mp.Close()
 }
 
-// Close unmaps the file immediately. Any document previously returned
-// by Document() must no longer be used: its strings alias the mapping.
+// Close unmaps the file immediately (idempotent). Any document
+// previously returned by Document() must no longer be used: its
+// ordinal tables alias the mapping. Strings it handed out stay valid.
 func (m *Mapped) Close() error {
-	runtime.SetFinalizer(m, nil)
-	m.release()
+	if mp := m.m; mp != nil {
+		m.m = nil
+		runtime.SetFinalizer(mp, nil)
+		unmap(mp)
+	}
 	return nil
 }
 
@@ -198,9 +211,22 @@ func (m *Mapped) sec(id int) []byte {
 	return m.data[e.off : e.off+e.n]
 }
 
+// payload returns a section's bytes as the document reads them: the
+// content and string blob from Document()'s copy, the rest from the
+// image.
+func (m *Mapped) payload(id int) []byte {
+	switch id {
+	case secContent:
+		return m.content
+	case secStrBlob:
+		return m.blob
+	}
+	return m.sec(id)
+}
+
 // checkCRC verifies one section's checksum against its directory entry.
 func (m *Mapped) checkCRC(id int) error {
-	if got := crc32.Checksum(m.sec(id), crcTable); got != m.secs[id].crc {
+	if got := crc32.Checksum(m.payload(id), crcTable); got != m.secs[id].crc {
 		return fmt.Errorf("store: section %d checksum mismatch", id)
 	}
 	return nil
@@ -273,6 +299,18 @@ func (m *Mapped) buildDoc() (*goddag.Document, error) {
 	if m.secs[secBuckets].n < 4 || m.secs[secBuckets].n%4 != 0 {
 		return nil, fmt.Errorf("store: buckets section malformed")
 	}
+	m.content, m.blob = m.sec(secContent), m.sec(secStrBlob)
+	var copied int64
+	if m.m != nil {
+		// One heap copy of the content and the string blob per open.
+		// Every string the document hands out slices it, so none reads
+		// the mapping after the document is gone.
+		nc := len(m.content)
+		buf := make([]byte, nc+len(m.blob))
+		copy(buf[copy(buf, m.content):], m.blob)
+		m.content, m.blob = buf[:nc:nc], buf[nc:]
+		copied = int64(len(buf))
+	}
 	if err := m.checkCRC(secContent); err != nil {
 		return nil, err
 	}
@@ -293,10 +331,11 @@ func (m *Mapped) buildDoc() (*goddag.Document, error) {
 	}
 	return goddag.FromView(&goddag.DocView{
 		RootTag:     rootTag,
-		Content:     bstr(m.sec(secContent)),
+		Content:     bstr(m.content),
 		HierNames:   names,
 		Materialize: m.columns,
 		Keep:        m,
+		TextBytes:   copied,
 	}), nil
 }
 
@@ -310,17 +349,17 @@ func (m *Mapped) str(id uint32) (string, error) {
 	offs := m.sec(secStrOff)
 	lo := binary.LittleEndian.Uint32(offs[4*id:])
 	hi := binary.LittleEndian.Uint32(offs[4*id+4:])
-	blob := m.sec(secStrBlob)
-	if lo > hi || hi > uint32(len(blob)) {
+	if lo > hi || hi > uint32(len(m.blob)) {
 		return "", fmt.Errorf("store: string %d bounds [%d,%d) invalid", id, lo, hi)
 	}
-	return bstr(blob[lo:hi]), nil
+	return bstr(m.blob[lo:hi]), nil
 }
 
 // columns verifies the remaining section checksums, validates the
 // element columns structurally (every index in range, orders and
 // prefixes monotonic, ordinal tables mutually consistent), and returns
-// the columnar image, aliasing the mapping wherever layout permits.
+// the columnar image, aliasing the mapping wherever layout permits. Of
+// the aliased columns only the ordinal tables outlive materialization.
 // Called once per document, on its first structural access.
 func (m *Mapped) columns() (*goddag.Columns, error) {
 	for id := secStrBlob; id <= secBuckets; id++ {
@@ -331,7 +370,7 @@ func (m *Mapped) columns() (*goddag.Columns, error) {
 	n, nl, nattrs, nstr := m.nelems, m.nleaves, m.nattrs, m.nstrings
 
 	strOff, _ := u32view(m.sec(secStrOff))
-	blob := m.sec(secStrBlob)
+	blob := m.blob
 	if strOff[0] != 0 || int(strOff[nstr]) != len(blob) {
 		return nil, fmt.Errorf("store: string table does not tile its blob")
 	}
@@ -528,9 +567,10 @@ var nativeLE = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// bstr views a byte slice as a string without copying. The bytes alias
-// the mapping and must stay immutable and alive — guaranteed by the
-// PROT_READ mapping and the document's keepalive.
+// bstr views a byte slice as a string without copying. Its callers pass
+// only heap bytes the garbage collector tracks, never a file mapping:
+// Document()'s copy for file opens, the caller's immutable image for
+// OpenMappedBytes.
 func bstr(b []byte) string {
 	if len(b) == 0 {
 		return ""

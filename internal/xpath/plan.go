@@ -39,7 +39,7 @@ import (
 // evaluator as the differential oracle.
 //
 // Plans are cached per compiled Query in a single atomic slot keyed by
-// (document identity, document version); the Query instances themselves
+// (document serial, document version); the Query instances themselves
 // live in the server's compiled-query LRU, so the slot rides alongside
 // it. Any structural mutation advances the version (see
 // goddag.Document.Version) and invalidates the cached plan.
@@ -74,12 +74,12 @@ const (
 // line.
 func (p *Plan) Explain() []string { return p.lines }
 
-// planSlot is the single-entry plan cache attached to a Query. It holds
-// the planned document strongly; worst case that delays collection of
-// one evicted document per cached query until the query is replanned,
-// bounded by the server's query-cache size.
+// planSlot is the single-entry plan cache attached to a Query. It names
+// the planned document by its serial, not by pointer, and a Plan holds
+// no document data, so a cached query never keeps an evicted document
+// (or the file mapping behind it) alive.
 type planSlot struct {
-	doc     *goddag.Document
+	serial  uint64
 	version uint64
 	plan    *Plan
 }
@@ -92,8 +92,8 @@ func (q *Query) planFor(doc *goddag.Document, opts Options) *Plan {
 	if opts.Reference {
 		return &Plan{kind: planEval, lines: []string{"materialize: planner disabled by Options.Reference"}}
 	}
-	ver := doc.Version()
-	if s := q.plan.Load(); s != nil && s.doc == doc && s.version == ver {
+	ser, ver := doc.Serial(), doc.Version()
+	if s := q.plan.Load(); s != nil && s.serial == ser && s.version == ver {
 		engine.planHits.Add(1)
 		engine.planKinds[s.plan.kind].Add(1)
 		return s.plan
@@ -101,7 +101,7 @@ func (q *Query) planFor(doc *goddag.Document, opts Options) *Plan {
 	engine.planMisses.Add(1)
 	pl := planQuery(doc, q.root)
 	engine.planKinds[pl.kind].Add(1)
-	q.plan.Store(&planSlot{doc: doc, version: ver, plan: pl})
+	q.plan.Store(&planSlot{serial: ser, version: ver, plan: pl})
 	return pl
 }
 
