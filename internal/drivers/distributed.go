@@ -1,7 +1,6 @@
 package drivers
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -59,14 +58,8 @@ func DecodeDistributedOrdered(srcs []sacx.Source) (*goddag.Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, src := range srcs {
-		// Only a source whose bytes hold the prefix can carry the name.
-		if bytes.Contains(src.Data, []byte("chx-")) {
-			if err := reservedAttrs(doc); err != nil {
-				return nil, err
-			}
-			break
-		}
+	if err := reservedAttrs(doc); err != nil {
+		return nil, err
 	}
 	return doc, nil
 }

@@ -91,14 +91,16 @@ func writeFig1V3(t *testing.T) string {
 // keepStrings opens path through fsys, materializes the document and
 // returns one string of every kind it hands out: root tag, hierarchy
 // names, element names, attribute names and values, content slices and
-// an xpath string value. The document is unreachable once it returns.
-func keepStrings(t *testing.T, fsys faultfs.FS, path string) []string {
+// an xpath string value. It also returns MappedBytes as read while the
+// document is still reachable: once it returns, the document is not, and
+// a background collection may release its mapping at any moment.
+func keepStrings(t *testing.T, fsys faultfs.FS, path string) (kept []string, mapped int64) {
 	t.Helper()
 	doc, _, err := OpenMappedDoc(fsys, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := []string{doc.RootTag(), doc.Content().String()}
+	kept = []string{doc.RootTag(), doc.Content().String()}
 	kept = append(kept, doc.HierarchyNames()...)
 	attrs := 0
 	for _, e := range doc.Elements() {
@@ -118,7 +120,9 @@ func keepStrings(t *testing.T, fsys faultfs.FS, path string) []string {
 	if v.String() == "" {
 		t.Fatal("empty xpath string value")
 	}
-	return append(kept, v.String())
+	mapped = MappedBytes()
+	runtime.KeepAlive(doc)
+	return append(kept, v.String()), mapped
 }
 
 // TestReleasedMappingNeverRead drops a mapped document, collects until
@@ -135,8 +139,8 @@ func TestReleasedMappingNeverRead(t *testing.T) {
 		runtime.GC() // run pending finalizers before taking the baseline
 		runtime.GC()
 		base := MappedBytes()
-		kept := keepStrings(t, fsys, path)
-		if got := MappedBytes() - base; got != size {
+		kept, mapped := keepStrings(t, fsys, path)
+		if got := mapped - base; got != size {
 			t.Fatalf("open maps %d bytes, file has %d", got, size)
 		}
 		if !collectUntil(func() bool { return fsys.released.Load() == 1 }) {

@@ -28,8 +28,7 @@ func TestPlanSlotReleasesMappedDoc(t *testing.T) {
 	runtime.GC() // run pending finalizers before taking the baseline
 	runtime.GC()
 	base := store.MappedBytes()
-	planOnce(t, q, path)
-	if store.MappedBytes() == base {
+	if planOnce(t, q, path) == base {
 		t.Fatal("the open mapped nothing")
 	}
 	if q.plan.Load() == nil {
@@ -45,9 +44,11 @@ func TestPlanSlotReleasesMappedDoc(t *testing.T) {
 	runtime.KeepAlive(q)
 }
 
-// planOnce opens path mapped and streams q over it, which plans it.
-// The document is unreachable once it returns.
-func planOnce(t *testing.T, q *Query, path string) {
+// planOnce opens path mapped and streams q over it, which plans it, and
+// returns store.MappedBytes as read while the document is reachable:
+// once it returns, the document is not, and a background collection may
+// release its mapping at any moment.
+func planOnce(t *testing.T, q *Query, path string) int64 {
 	t.Helper()
 	doc, _, err := store.OpenMappedDoc(faultfs.OS, path)
 	if err != nil {
@@ -61,4 +62,7 @@ func planOnce(t *testing.T, q *Query, path string) {
 	if v, _ := s.Value(); v.Number() == 0 {
 		t.Fatal("count(//w) = 0")
 	}
+	mapped := store.MappedBytes()
+	runtime.KeepAlive(doc)
+	return mapped
 }
