@@ -512,9 +512,10 @@ func BenchmarkStoreSave(b *testing.B) {
 }
 
 // BenchmarkStoreLoad times the catalog's v3 open, minus the mmap itself:
-// header and section checks, then the lazily materializing document
-// (element columns are validated on first structural access). The v2
-// sub-benchmark times the decode that legacy files still load through.
+// the header check, then Document, which runs every section checksum
+// and the structural checks of the columns and returns the lazily
+// materializing document. The v2 sub-benchmark times the decode that
+// legacy files still load through.
 func BenchmarkStoreLoad(b *testing.B) {
 	doc, err := corpus.Generate(corpus.DefaultConfig(4000))
 	if err != nil {

@@ -83,10 +83,11 @@
 // single-document storage (the paper's "ongoing work") is package
 // store's binary format: format v3 is a CRC-guarded section-table
 // image whose payloads are the document's columns — including the
-// derived query indexes — so opening a file is stat + mmap + header
-// validation (microseconds, no decode), nodes materialize lazily on
-// first touch, and the catalog charges its byte budget only for the
-// bytes actually touched. The first edit promotes the document to the
+// derived query indexes — so opening a file is an mmap plus one full
+// checksum and structural validation (no decode; a damaged file fails
+// here), nodes materialize lazily on first touch from the validated
+// columns, and the catalog charges its byte budget only for the bytes
+// actually touched. The first edit promotes the document to the
 // heap. Older v2 stream files still load everywhere (store.Decode
 // dispatches on the version byte, mapped opens report store.ErrV2 and
 // fall back to the heap decoder) and every save rewrites as v3, so a

@@ -19,13 +19,14 @@
 //     exactly one parse; the others block on the in-flight load and share
 //     its result.
 //   - Index pre-warming: heap loads call (*goddag.Document).Warm before
-//     publishing, so the lazily built query indexes (element cache, span
-//     index, ordinals, name index) are resident before the first query —
-//     cold documents never serialize their first wave of queries on a
-//     lazy index rebuild. Mapped .gdag documents (format v3) are the
-//     deliberate exception: they open without decoding — stat + mmap +
-//     header validation — and materialize nodes lazily off the mapping,
-//     so pre-warming would forfeit the microsecond open.
+//     publishing, so the index snapshot (element list, span index,
+//     ordinals, name buckets) is resident before the first query — cold
+//     documents never serialize their first wave of queries on a lazy
+//     index rebuild. Mapped .gdag documents (format v3) are the
+//     deliberate exception: they open without decoding — mmap plus the
+//     full checksum and structural validation of the image, where a
+//     damaged file fails its load — and materialize nodes lazily off the
+//     validated columns, so pre-warming would forfeit the cheap open.
 //   - A byte-budgeted LRU: each resident document is charged its
 //     estimated footprint (goddag.Footprint; for mapped documents only
 //     the resident bytes actually materialized, rechecked on hits);
@@ -463,7 +464,9 @@ func (c *Catalog) runLoad(e *entry, f *flight) {
 // write-ahead-log records into it, and pre-warms its query indexes. Runs
 // without the catalog lock: loads of *different* documents proceed in
 // parallel. The mapped bool reports a view-backed (mmap v3) document —
-// those skip the pre-warm and charge only their resident bytes.
+// those skip the pre-warm and charge only their resident bytes. A v3
+// image is validated in full at open, so a damaged file fails here and
+// never reaches service or a later save.
 func (c *Catalog) load(e *entry) (*core.Document, int64, bool, error) {
 	if c.onLoad != nil {
 		c.onLoad(e.id)
@@ -491,9 +494,10 @@ func (c *Catalog) load(e *entry) (*core.Document, int64, bool, error) {
 }
 
 // loadSource parses the document from its files. A single .gdag source
-// opens through the mapping path — for a v3 file that is a stat + mmap
-// + header validation, no decode — while v2 files fall back to the
-// streaming decoder (counted; they migrate to v3 on their next save).
+// opens through the mapping path — for a v3 file that is an mmap plus
+// the image's full validation, no decode — while v2 files fall back to
+// the streaming decoder, read through the catalog's FS (counted; they
+// migrate to v3 on their next save).
 func (c *Catalog) loadSource(e *entry) (*core.Document, error) {
 	if e.format == "gdag" && len(e.paths) == 1 {
 		start := time.Now()
@@ -516,6 +520,12 @@ func (c *Catalog) loadSource(e *entry) (*core.Document, error) {
 		c.mu.Lock()
 		c.v2Fallbacks++
 		c.mu.Unlock()
+		f, err := c.fsys.Open(e.paths[0])
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return core.Load(f)
 	}
 	return cliutil.Load(e.format, e.paths)
 }

@@ -237,10 +237,14 @@ func (c *Catalog) persistCommit(e *entry, doc *core.Document, walDurable bool, p
 	// document (and its repaired indexes), and the session holds the
 	// images of its undo/redo history and current state — count those
 	// too, or sustained edit traffic would blow the budget invisibly.
+	// The edit promoted a mapped document to the heap, so the entry
+	// stops being mapped here: a later hit must not recharge it at the
+	// mapped footprint alone, without the history.
 	if e.doc != nil {
 		size := doc.GODDAG().Footprint() + doc.Edit().HistoryFootprint()
 		c.resident += size - e.bytes
 		e.bytes = size
+		e.mapped = false
 		c.evictLocked()
 	}
 	if saveErr != nil && !walDurable {

@@ -1,12 +1,16 @@
 package catalog
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/editor"
 	"repro/internal/faultfs"
@@ -258,4 +262,135 @@ func patchAll(t *testing.T, c *Catalog, id string) []editor.Op {
 	}
 	g := doc.GODDAG()
 	return []editor.Op{{Op: "insert-markup", Hierarchy: g.HierarchyNames()[0], Tag: "patch", Start: 0, End: g.Content().Len()}}
+}
+
+// v3Sections reads a v3 image's section directory: id → [off, off+n).
+func v3Sections(t *testing.T, data []byte) map[int][2]int {
+	t.Helper()
+	const headerLen, entryLen = 16, 24
+	nsec := int(binary.LittleEndian.Uint32(data[8:]))
+	secs := make(map[int][2]int, nsec)
+	for i := 0; i < nsec; i++ {
+		e := data[headerLen+i*entryLen:]
+		id, n, off := binary.LittleEndian.Uint32(e), binary.LittleEndian.Uint32(e[4:]), binary.LittleEndian.Uint64(e[8:])
+		secs[int(id)] = [2]int{int(off), int(off) + int(n)}
+	}
+	return secs
+}
+
+// TestDamagedV3FailsLoad flips the first byte of each section after the
+// content, one section at a time. The damaged document must fail its
+// load: View returns an error without running its reader (never an
+// empty result), an edit is refused, and the file keeps its bytes.
+func TestDamagedV3FailsLoad(t *testing.T) {
+	const contentSec, lastSec = 2, 19
+	doc, err := corpus.Generate(corpus.DefaultConfig(400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := store.EncodeV3(&buf, doc); err != nil {
+		t.Fatal(err)
+	}
+	image := buf.Bytes()
+	secs := v3Sections(t, image)
+	op := editor.Op{Op: "insert-markup", Hierarchy: doc.HierarchyNames()[0], Tag: "patch", Start: 0, End: doc.Content().Len()}
+	for id := contentSec + 1; id <= lastSec; id++ {
+		sec, ok := secs[id]
+		if !ok || sec[1] == sec[0] {
+			t.Fatalf("section %d missing or empty in a 400-word image", id)
+		}
+		damaged := bytes.Clone(image)
+		damaged[sec[0]] ^= 0xff
+		dir := t.TempDir()
+		path := filepath.Join(dir, "doc0.gdag")
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran := false
+		if err := c.View("doc0", func(*core.Document) error { ran = true; return nil }); err == nil || ran {
+			t.Fatalf("section %d damaged: View err=%v ran=%v, want an error before the reader", id, err, ran)
+		}
+		c.Evict("doc0") // clear the cached failure so the edit loads again
+		if err := c.UpdateBatch("doc0", []editor.Op{op}, nil); err == nil {
+			t.Fatalf("section %d damaged: edit succeeded", id)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, damaged) {
+			t.Fatalf("section %d damaged: the file changed on disk", id)
+		}
+	}
+}
+
+// TestCommitKeepsHistoryCharge edits a mapped document and then hits
+// it: the commit charges the document plus its edit history, and the
+// hit must not recharge it at the document's footprint alone.
+func TestCommitKeepsHistoryCharge(t *testing.T) {
+	dir := writeGdagDir(t, 1, 2000, encodeV3File)
+	c, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.UpdateBatch("doc0", patchAll(t, c, "doc0"), nil); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := c.Get("doc0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := doc.GODDAG().Footprint() + doc.Edit().HistoryFootprint()
+	if ds, _ := c.Doc("doc0"); ds.Bytes != want {
+		t.Fatalf("charge after commit and hit = %d, want footprint + history = %d", ds.Bytes, want)
+	}
+	if s := c.Stats(); s.Bytes != want {
+		t.Fatalf("catalog bytes %d, want %d", s.Bytes, want)
+	}
+}
+
+// TestV2LoadReadsThroughCatalogFS loads a v2 file through a fault
+// injector: the load maps the file once and opens it once, both through
+// the catalog's FS, so a failed open fails the load.
+func TestV2LoadReadsThroughCatalogFS(t *testing.T) {
+	dir := writeGdagDir(t, 1, 200, encodeV2File)
+	inj := faultfs.NewInjector(faultfs.OS)
+	counts := map[faultfs.Op]int{}
+	inj.SetHook(func(op faultfs.Op, path string) error {
+		if strings.HasSuffix(path, ".gdag") {
+			counts[op]++
+		}
+		return nil
+	})
+	c, err := Open(dir, Options{FS: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(counts)
+	if _, err := c.Get("doc0"); err != nil {
+		t.Fatal(err)
+	}
+	if counts[faultfs.OpMap] != 1 || counts[faultfs.OpOpen] != 1 {
+		t.Fatalf("v2 load made %d maps and %d opens of the file, want 1 and 1", counts[faultfs.OpMap], counts[faultfs.OpOpen])
+	}
+
+	bang := errors.New("open vetoed")
+	inj.SetHook(func(op faultfs.Op, path string) error {
+		if op == faultfs.OpOpen && strings.HasSuffix(path, ".gdag") {
+			return bang
+		}
+		return nil
+	})
+	c, err = Open(dir, Options{FS: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Get("doc0"); !errors.Is(err, bang) {
+		t.Fatalf("vetoed open: got %v, want %v", err, bang)
+	}
 }

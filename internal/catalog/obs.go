@@ -17,7 +17,7 @@ type catMetrics struct {
 	lockWrite    *obs.Histogram // write-lock wait (UpdateBatchContext, Undo, Redo)
 	walAppend    *obs.Histogram // WAL append incl. fsync (the commit point)
 	save         *obs.Histogram // store save, per attempt
-	openMapped   *obs.Histogram // mapped .gdag opens: stat + mmap + header validation
+	openMapped   *obs.Histogram // mapped .gdag opens: mmap + full image validation
 	sectionBytes *obs.Histogram // v3 section sizes (bytes), per mapped open
 }
 
@@ -41,7 +41,7 @@ func (c *Catalog) registerMetrics(reg *obs.Registry) {
 		save: reg.Histogram("cx_catalog_save_seconds",
 			"Document save latency, per attempt (retries observe again).", "", nil),
 		openMapped: reg.Histogram("cx_store_open_seconds",
-			"Mapped .gdag open latency: stat, mmap, header validation — no decode.", "", nil),
+			"Mapped .gdag open latency: mmap, every section checksum and the structural checks — no decode.", "", nil),
 		sectionBytes: reg.ValueHistogram("cx_store_section_bytes",
 			"Size distribution of v3 file sections at mapped opens.", "", nil),
 	}

@@ -40,9 +40,9 @@ func Load(format string, paths []string) (*core.Document, error) {
 		if len(paths) != 1 {
 			return nil, fmt.Errorf("format gdag expects exactly one input file")
 		}
-		// v3 files open through the mapping path — header validation
-		// only, nodes materialize lazily on first touch. v2 files report
-		// ErrV2 and take the streaming decoder below.
+		// v3 files open through the mapping path — the image is
+		// validated in full, nodes materialize lazily on first touch.
+		// v2 files report ErrV2 and take the streaming decoder below.
 		g, _, err := store.OpenMappedDoc(faultfs.OS, paths[0])
 		if err == nil {
 			return core.FromGODDAG(g), nil

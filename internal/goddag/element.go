@@ -16,7 +16,7 @@ type Hierarchy struct {
 	name string
 	top  []*Element // top-level elements, in document order
 	n    int        // total element count
-	pre  []*Element // pre-order (== document-order) element array, rebuilt with Ordinals
+	pre  []*Element // pre-order (== document-order) element array, part of the index snapshot
 }
 
 // Name returns the hierarchy name (by convention, the DTD name).
@@ -40,71 +40,27 @@ func (h *Hierarchy) TopElements() []*Element {
 	return out
 }
 
-// Elements returns all elements of the hierarchy in document order.
-// While the ordinal index is live, the hierarchy's pre-order array IS
-// this walk's result (and is kept spliced by the incremental repair);
-// it is copied instead of re-walking the tree — element-address
-// resolution on the server's edit path calls this once per op.
+// Elements returns all elements of the hierarchy in document order: a
+// copy of the hierarchy's pre-order array from the index snapshot
+// (within one hierarchy, pre-order is document order).
 func (h *Hierarchy) Elements() []*Element {
-	h.doc.ensure()
 	h.doc.mu.Lock()
-	live := h.doc.ordIdx != nil && h.doc.ordVer == h.doc.version
-	h.doc.mu.Unlock()
-	if live && len(h.pre) == h.n {
-		out := make([]*Element, len(h.pre))
-		copy(out, h.pre)
-		return out
-	}
-	return h.walkElements()
+	defer h.doc.mu.Unlock()
+	h.doc.indexesLocked()
+	return append([]*Element(nil), h.pre...)
 }
 
 // ElementAt returns the i-th element of the hierarchy in document
-// order (the same numbering as Elements) without materializing the
-// list: O(1) from the pre-order array while the ordinal index is live,
-// a counting walk otherwise. ok is false for out-of-range indices.
+// order (the same numbering as Elements) in O(1) from the index
+// snapshot. ok is false for out-of-range indices.
 func (h *Hierarchy) ElementAt(i int) (el *Element, ok bool) {
-	h.doc.ensure()
-	if i < 0 || i >= h.n {
+	h.doc.mu.Lock()
+	defer h.doc.mu.Unlock()
+	h.doc.indexesLocked()
+	if i < 0 || i >= len(h.pre) {
 		return nil, false
 	}
-	h.doc.mu.Lock()
-	live := h.doc.ordIdx != nil && h.doc.ordVer == h.doc.version
-	h.doc.mu.Unlock()
-	if live && len(h.pre) == h.n {
-		return h.pre[i], true
-	}
-	n := 0
-	var walk func(es []*Element) *Element
-	walk = func(es []*Element) *Element {
-		for _, e := range es {
-			if n == i {
-				return e
-			}
-			n++
-			if found := walk(e.children); found != nil {
-				return found
-			}
-		}
-		return nil
-	}
-	el = walk(h.top)
-	return el, el != nil
-}
-
-// walkElements collects the hierarchy's elements by tree walk. It takes
-// no lock, so the lazy cache rebuilds (which hold the document mutex)
-// can call it.
-func (h *Hierarchy) walkElements() []*Element {
-	out := make([]*Element, 0, h.n)
-	var walk func(es []*Element)
-	walk = func(es []*Element) {
-		for _, e := range es {
-			out = append(out, e)
-			walk(e.children)
-		}
-	}
-	walk(h.top)
-	return out
+	return h.pre[i], true
 }
 
 // ElementsNamed returns the hierarchy's elements with the given tag in
@@ -130,8 +86,8 @@ type Element struct {
 	children []*Element
 	seq      int
 
-	// Query-index fields, assigned by the Ordinals rebuild and valid only
-	// while the document is unmutated (doc.ordVer == doc.version): the
+	// Query-index fields, assigned with the index snapshot and valid only
+	// while it is live (doc.idxVer == doc.version): the
 	// node's dense document-order ordinal and its half-open pre-order
 	// interval [preIdx, preEnd) within hier.pre. Read them through an
 	// *Ordinals obtained from Document.Ordinals().

@@ -22,21 +22,21 @@
 // # Concurrency and mutation
 //
 // A Document may be read — navigated, queried, exported — from any
-// number of goroutines at once: the lazily built derived indexes
-// (element cache, span index, ordinal numbering, name index) serialize
-// their rebuilds on an internal mutex. Mutating operations
+// number of goroutines at once: the lazily built index snapshot
+// (element list, span index, ordinal numbering, name buckets)
+// serializes its rebuild on an internal mutex. Mutating operations
 // (InsertElement, RemoveElement, InsertText, DeleteText, Compact,
 // BulkBuilder.Append, ...) require exclusive access: they must not run
 // concurrently with each other or with readers. Serving layers
 // (internal/catalog) enforce this with a per-document RW lock.
 //
 // Documents are editable after load. InsertElement and RemoveElement
-// repair the live derived indexes in place (splice + local renumber, see
+// repair the live index snapshot in place (splice + local renumber, see
 // repair.go), so an edit costs O(affected suffix) integer writes instead
 // of a from-scratch rebuild, and queries issued right after an edit see
 // warm indexes. Attribute edits never touch the indexes. Text edits
 // (InsertText, DeleteText) and Compact move content coordinates under
-// every element at once and fall back to invalidate-and-rebuild.
+// every element at once and leave the whole snapshot to rebuild.
 // Results handed out by the index accessors (Elements, ElementsNamed,
 // Ordinals, ...) are snapshots that remain internally consistent only
 // until the next mutation; re-fetch them after editing.
@@ -108,50 +108,46 @@ type Document struct {
 	seq     int      // element insertion counter, for stable ordering
 	serial  uint64   // process-unique identity, see Serial
 
-	// Derived-index caches: Elements() and the query-path indexes are hot
-	// in evaluation, so the sorted cross-hierarchy element list, the span
-	// interval index, the ordinal numbering, and the name index are all
-	// cached and stamped with a version counter advanced on every
-	// structural mutation. Element insertions and removals *repair* live
-	// caches in place (see repair.go) so an editing workload never pays a
-	// from-scratch rebuild; text edits, Compact, and bulk loads invalidate
-	// them for the next lazy rebuild.
+	// The index snapshot: the document-order element list, the span
+	// interval index, the ordinal numbering with its per-hierarchy
+	// pre-order arrays, and the name buckets. They are one unit, stamped
+	// together with idxVer: the snapshot is live while idxVer equals the
+	// version, which every structural mutation advances. Element
+	// insertions and removals repair all four in place (repair.go); text
+	// edits, Compact and bulk loads leave all four stale, and the next
+	// read rebuilds them together (indexesLocked).
 	//
-	// mu serializes the lazy cache (re)builds, making *read-only* use of
-	// a document — including concurrent query evaluation — safe from
+	// mu serializes the lazy rebuild, making *read-only* use of a
+	// document — including concurrent query evaluation — safe from
 	// multiple goroutines. Structural and text mutations are NOT
 	// goroutine-safe and must not run concurrently with readers.
-	mu           sync.Mutex
-	version      uint64
-	noRepair     bool // disable in-place index repair (SetIncrementalRepair)
-	elemCache    []*Element
-	elemCacheVer uint64
-	spanIdx      *spanIndex
-	spanIdxVer   uint64
-	ordIdx       *Ordinals
-	ordVer       uint64
-	nameIdx      map[string][]*Element
-	nameIdxVer   uint64
+	mu        sync.Mutex
+	version   uint64
+	noRepair  bool // disable in-place index repair (SetIncrementalRepair)
+	idxVer    uint64
+	elemCache []*Element
+	spanIdx   *spanIndex
+	ordIdx    *Ordinals
+	nameIdx   map[string][]*Element
 
 	// Lazy-materialization state (view.go). A document opened from a
-	// mapped v3 store file carries a DocView; the element layer and the
-	// derived indexes build from its columnar image on first touch
-	// (viewPending flips false), and the first mutation promotes the
-	// index arrays off the read-only backing (viewAliased/viewPromoted).
-	// The view, held for the document's lifetime, pins the backing
-	// mapping through its Keep.
+	// mapped v3 store file carries a DocView whose columns the store has
+	// already validated; the element layer and the index snapshot build
+	// from them on first touch (viewPending flips false), and the first
+	// mutation promotes the ordinal arrays off the read-only backing
+	// (viewAliased/viewPromoted). The view, held for the document's
+	// lifetime, pins the backing mapping through its Keep.
 	view          *DocView
 	viewPending   atomic.Bool
-	viewErr       error
 	viewAliased   bool
 	viewPromoted  atomic.Bool
 	residentBytes atomic.Int64
 }
 
-// bump invalidates derived caches after a structural mutation that moves
-// content coordinates wholesale (text edits, Compact, bulk loads); the
-// next read rebuilds them from scratch. Element-level mutations go
-// through finishInsert/finishRemove instead, which patch live caches in
+// bump leaves the index snapshot stale after a structural mutation that
+// moves content coordinates wholesale (text edits, Compact, bulk loads);
+// the next read rebuilds it. Element-level mutations go through
+// finishInsert/finishRemove instead, which repair a live snapshot in
 // place.
 func (d *Document) bump() { d.version++ }
 
@@ -213,8 +209,8 @@ func (d *Document) AddHierarchy(name string) *Hierarchy {
 	h := &Hierarchy{doc: d, name: name}
 	d.hiers[name] = h
 	d.order = append(d.order, name)
-	// An element-free hierarchy contributes nothing to the derived
-	// indexes; keep live caches valid.
+	// An element-free hierarchy contributes nothing to the index
+	// snapshot; keep a live one live.
 	d.retainCaches()
 	return h
 }
@@ -289,50 +285,61 @@ func (d *Document) LeafAt(pos int) Leaf {
 	return Leaf{doc: d, idx: d.part.LeafAt(pos)}
 }
 
-// Elements returns every element of every hierarchy in document order.
-// The result is cached until the next structural mutation; callers must
-// not modify it.
+// Elements returns every element of every hierarchy in document order,
+// from the index snapshot. Callers must not modify the result.
 func (d *Document) Elements() []*Element {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.elementsLocked()
-}
-
-// elementsLocked is Elements with d.mu held.
-func (d *Document) elementsLocked() []*Element {
-	d.ensureLocked()
-	if d.elemCache != nil && d.elemCacheVer == d.version {
-		return d.elemCache
-	}
-	out := make([]*Element, 0, 16)
-	for _, name := range d.order {
-		// walkElements, not Elements: d.mu is held here and Elements
-		// takes it to probe the ordinal index.
-		out = append(out, d.hiers[name].walkElements()...)
-	}
-	sortElements(out)
-	d.elemCache = out
-	d.elemCacheVer = d.version
-	return out
+	d.indexesLocked()
+	return d.elemCache
 }
 
 // ElementsNamed returns every element with the given tag across all
-// hierarchies, in document order, served by a lazily built name index
-// (one map from tag to its document-ordered element list, rebuilt after
-// structural mutations). Callers must not modify the result.
+// hierarchies, in document order, from the snapshot's name buckets.
+// Callers must not modify the result.
 func (d *Document) ElementsNamed(tag string) []*Element {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.ensureLocked()
-	if d.nameIdx == nil || d.nameIdxVer != d.version {
-		els := d.elementsLocked()
-		idx := make(map[string][]*Element)
-		for _, e := range els {
-			idx[e.name] = append(idx[e.name], e)
-		}
-		d.nameIdx, d.nameIdxVer = idx, d.version
-	}
+	d.indexesLocked()
 	return d.nameIdx[tag]
+}
+
+// indexLiveLocked reports whether the index snapshot is built and
+// current. d.mu must be held.
+func (d *Document) indexLiveLocked() bool {
+	return d.ordIdx != nil && d.idxVer == d.version
+}
+
+// indexesLocked brings the index snapshot up to date, rebuilding all of
+// it when a mutation left it stale: the per-hierarchy pre-order arrays
+// (which number every element's subtree interval), the document-order
+// element list, the ordinals, the span index and the name buckets.
+// d.mu must be held.
+func (d *Document) indexesLocked() {
+	d.ensureLocked()
+	if d.indexLiveLocked() {
+		return
+	}
+	n := 0
+	for _, name := range d.order {
+		h := d.hiers[name]
+		buildPreorder(h)
+		n += len(h.pre)
+	}
+	els := make([]*Element, 0, n)
+	for _, name := range d.order {
+		els = append(els, d.hiers[name].pre...)
+	}
+	sortElements(els)
+	names := make(map[string][]*Element)
+	for _, e := range els {
+		names[e.name] = append(names[e.name], e)
+	}
+	d.elemCache = els
+	d.ordIdx = d.buildOrdinals(els)
+	d.spanIdx = buildSpanIndex(els)
+	d.nameIdx = names
+	d.idxVer = d.version
 }
 
 // sortElements orders elements in document order: by start offset, wider

@@ -10,8 +10,8 @@ import "repro/internal/document"
 // linear scan — the "indexing" direction the paper lists as ongoing
 // work, applied to the in-memory GODDAG.
 //
-// The index is rebuilt lazily alongside the element cache and shares its
-// version stamp.
+// The index is part of the document's index snapshot: it is rebuilt and
+// repaired together with the element list, ordinals and name buckets.
 type spanIndex struct {
 	els    []*Element
 	maxEnd []int // segment tree, node i covers a range of els
@@ -111,15 +111,10 @@ func (d *Document) VisitIntersecting(sp document.Span, visit func(*Element) bool
 	d.index().visitIntersecting(sp, visit)
 }
 
-// index returns the document's span index, rebuilding it when stale.
+// index returns the document's span index from the index snapshot.
 func (d *Document) index() *spanIndex {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.ensureLocked()
-	if d.spanIdx != nil && d.spanIdxVer == d.version {
-		return d.spanIdx
-	}
-	d.spanIdx = buildSpanIndex(d.elementsLocked())
-	d.spanIdxVer = d.version
+	d.indexesLocked()
 	return d.spanIdx
 }

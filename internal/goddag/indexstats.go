@@ -3,8 +3,8 @@ package goddag
 // IndexStats reports the sizes of a document's derived indexes — the
 // cardinalities the xpath planner reads as selectivity estimates (name
 // buckets pick the cheap side of an axis step; the ordinal range sizes
-// dedup bitsets). Computing the stats warms the ordinal and name indexes
-// as a side effect, so a served document reports live planner inputs.
+// dedup bitsets). Computing the stats warms the index snapshot as a side
+// effect, so a served document reports live planner inputs.
 type IndexStats struct {
 	// Version is the mutation counter the indexes are stamped with;
 	// cached query plans are valid while it is unchanged.

@@ -17,10 +17,11 @@ import "repro/internal/document"
 // hierarchy's pre-order array and ancestor/descendant tests are O(1)
 // interval containment.
 //
-// An Ordinals is a snapshot: it is rebuilt lazily after a structural
-// mutation (versioned like the span index) and stays internally
-// consistent for as long as the document is not mutated. See the package
-// comment in goddag.go for the concurrency contract.
+// An Ordinals is part of the document's index snapshot (see
+// indexesLocked): it is rebuilt with the rest of the snapshot after a
+// structural mutation and stays internally consistent for as long as the
+// document is not mutated. See the package comment in goddag.go for the
+// concurrency contract.
 type Ordinals struct {
 	doc     *Document
 	els     []*Element // the document's element cache, document order
@@ -32,25 +33,25 @@ type Ordinals struct {
 	empty []*Element // empty elements (milestones), document order
 }
 
-// Ordinals returns the document's ordinal numbering, rebuilding it (and
-// the per-hierarchy pre-order ranges) when stale.
+// Ordinals returns the document's ordinal numbering from the index
+// snapshot.
 func (d *Document) Ordinals() *Ordinals {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.ensureLocked()
-	if d.ordIdx != nil && d.ordVer == d.version {
-		return d.ordIdx
-	}
-	els := d.elementsLocked()
+	d.indexesLocked()
+	return d.ordIdx
+}
+
+// buildOrdinals numbers the document-ordered elements els and the leaves
+// in one merge; ties follow CompareNodes, which puts the element first.
+func (d *Document) buildOrdinals(els []*Element) *Ordinals {
+	nl := d.part.NumLeaves()
 	o := &Ordinals{
 		doc:     d,
 		els:     els,
-		leafOrd: make([]int32, d.part.NumLeaves()),
-		byOrd:   make([]int32, 1+len(els)+d.part.NumLeaves()),
+		leafOrd: make([]int32, nl),
+		byOrd:   make([]int32, 1+len(els)+nl),
 	}
-	// Merge the sorted element list with the (inherently sorted) leaf
-	// sequence; ties follow CompareNodes, which puts the element first.
-	nl := d.part.NumLeaves()
 	ord := int32(1)
 	i, j := 0, 0
 	for i < len(els) || j < nl {
@@ -70,16 +71,13 @@ func (d *Document) Ordinals() *Ordinals {
 		}
 		ord++
 	}
-	// Pre-order subtree ranges. Within one hierarchy every level is kept
-	// sorted in document order, so the pre-order walk *is* document order
-	// and each subtree occupies one contiguous interval of it.
-	for _, name := range d.order {
-		buildPreorder(d.hiers[name])
-	}
-	d.ordIdx, d.ordVer = o, d.version
 	return o
 }
 
+// buildPreorder numbers h's pre-order subtree ranges. Within one
+// hierarchy every level is kept sorted in document order, so the
+// pre-order walk *is* document order and each subtree occupies one
+// contiguous interval of it.
 func buildPreorder(h *Hierarchy) {
 	pre := h.pre[:0]
 	if cap(pre) < h.n {

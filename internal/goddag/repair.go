@@ -8,17 +8,17 @@ import (
 
 // Incremental index repair.
 //
-// The derived indexes (element cache, span interval index, ordinal
-// numbering with per-hierarchy pre-order arrays, name index) used to be
+// The index snapshot (element list, span interval index, ordinal
+// numbering with per-hierarchy pre-order arrays, name buckets) used to be
 // invalidated wholesale by every structural mutation and rebuilt from
 // scratch on the next read — acceptable while documents were parse-once
 // query-forever, but ruinous for an editing workload where every
 // InsertElement/RemoveElement is followed by a query or a prevalidation
 // pass over the repaired structure.
 //
-// This file patches the live indexes in place instead:
+// This file patches the live snapshot in place instead:
 //
-//   - the element cache and the name-index bucket of the affected tag are
+//   - the element list and the name bucket of the affected tag are
 //     spliced (one binary search + one memmove each),
 //   - the mutated hierarchy's pre-order array is spliced and the
 //     [preIdx, preEnd) subtree intervals shifted locally (the ancestors'
@@ -29,23 +29,24 @@ import (
 //     pass reassigns the suffix — O(affected suffix) integer writes with
 //     no sorting and no map churn,
 //   - the span index segment tree is rebuilt over the patched element
-//     cache (pure integer writes, no comparisons).
+//     list (pure integer writes, no comparisons).
 //
-// Repair applies only to caches that are *live* (version-current) at the
-// time of the mutation; stale or unbuilt caches stay stale and rebuild
-// lazily as before. Text edits (InsertText, DeleteText), Compact, and
-// bulk loading keep the bump-and-rebuild path: they move content
-// coordinates under every element at once, so a full rebuild is the
-// honest cost. Attribute edits never touch the indexes at all.
+// Repair is all or nothing: a snapshot that is live at the time of the
+// mutation has all four parts repaired and is stamped at the new
+// version; a stale or unbuilt one stays stale and the next read rebuilds
+// all four together. Text edits (InsertText, DeleteText), Compact, and
+// bulk loading leave the snapshot stale: they move content coordinates
+// under every element at once, so a full rebuild is the honest cost.
+// Attribute edits never touch the indexes at all.
 //
 // SetIncrementalRepair(false) restores bump-and-rebuild for every
 // mutation; the differential tests use it as their oracle, holding the
 // repaired indexes against from-scratch rebuilds.
 
 // SetIncrementalRepair toggles in-place index repair after structural
-// mutations (default enabled). With repair off, every mutation
-// invalidates the derived indexes and the next read rebuilds them from
-// scratch — the pre-repair behaviour, kept for differential testing and
+// mutations (default enabled). With repair off, every mutation leaves
+// the index snapshot stale and the next read rebuilds it from scratch —
+// the pre-repair behaviour, kept for differential testing and
 // benchmarking.
 func (d *Document) SetIncrementalRepair(on bool) { d.noRepair = !on }
 
@@ -81,113 +82,72 @@ func (d *Document) leafAfterSpan(span document.Span) int {
 	})
 }
 
-// finishInsert completes InsertElement: it either patches the live
-// derived indexes around the freshly inserted element or, when repair is
-// off or the caches are already stale, leaves them invalidated for the
-// next lazy rebuild. firstLeaf comes from cutSpanBorders and leafAfter
-// from leafAfterSpan, both in the pre-cut leaf numbering.
+// finishInsert completes InsertElement: it either repairs the live index
+// snapshot around the freshly inserted element or, when repair is off or
+// the snapshot is already stale, leaves all of it stale for the next
+// rebuild. firstLeaf comes from cutSpanBorders and leafAfter from
+// leafAfterSpan, both in the pre-cut leaf numbering.
 func (d *Document) finishInsert(el *Element, adopted []*Element, firstLeaf, leafAfter int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	old := d.version
+	live := d.indexLiveLocked()
 	d.version++
-	if d.noRepair || d.elemCache == nil || d.elemCacheVer != old {
-		return
-	}
-	ordLive := d.ordIdx != nil && d.ordVer == old
 	// The pre-order splice assumes the adopted children occupied one
 	// contiguous run of the hierarchy's pre-order array. The one shape
 	// where they do not — a milestone adopted from beyond a touching,
 	// non-adopted sibling — falls back to the full rebuild.
-	if ordLive && !adoptionContiguous(adopted) {
+	if d.noRepair || !live || !adoptionContiguous(adopted) {
 		return
 	}
 	i0 := d.spliceElementIn(el)
-	d.elemCacheVer = d.version
-	if d.nameIdx != nil && d.nameIdxVer == old {
-		d.nameSpliceIn(el)
-		d.nameIdxVer = d.version
+	d.nameSpliceIn(el)
+	preorderSpliceIn(el, adopted)
+	d.ordIdx.renumberInsert(i0, firstLeaf, leafAfter)
+	if el.span.IsEmpty() {
+		d.ordIdx.emptySpliceIn(el)
 	}
-	if ordLive {
-		preorderSpliceIn(el, adopted)
-		d.ordIdx.renumberInsert(i0, firstLeaf, leafAfter)
-		if el.span.IsEmpty() {
-			d.ordIdx.emptySpliceIn(el)
-		}
-		d.ordVer = d.version
-	}
-	if d.spanIdx != nil && d.spanIdxVer == old {
-		d.spanIdx = rebuildSpanIndex(d.elemCache, d.spanIdx)
-		d.spanIdxVer = d.version
-	}
+	d.spanIdx = rebuildSpanIndex(d.elemCache, d.spanIdx)
+	d.idxVer = d.version
 }
 
 // finishRemove completes RemoveElement. It must run while el's parent
 // link is still intact (the pre-order repair walks the ancestor chain).
 // orderPreserved reports whether hoisting el's children kept the sibling
 // list in document order; when it did not, the hierarchy's pre-order is
-// no longer the old one minus el and repair falls back to a rebuild.
+// no longer the old one minus el and the snapshot is left to rebuild.
 func (d *Document) finishRemove(el *Element, orderPreserved bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	old := d.version
+	live := d.indexLiveLocked()
 	d.version++
-	if d.noRepair || d.elemCache == nil || d.elemCacheVer != old {
+	if d.noRepair || !live || !orderPreserved {
 		return
 	}
-	if !orderPreserved {
-		return
+	if el.span.IsEmpty() {
+		d.ordIdx.emptySpliceOut(el)
 	}
-	ordLive := d.ordIdx != nil && d.ordVer == old
-	if ordLive {
-		if el.span.IsEmpty() {
-			d.ordIdx.emptySpliceOut(el)
-		}
-		preorderSpliceOut(el)
-	}
+	preorderSpliceOut(el)
 	i0 := d.spliceElementOut(el)
 	if i0 < 0 {
-		// Not found — should be impossible; drop to a full rebuild.
-		d.elemCache = nil
+		// Not found — should be impossible; leave it to the rebuild.
 		return
 	}
-	d.elemCacheVer = d.version
-	if d.nameIdx != nil && d.nameIdxVer == old {
-		d.nameSpliceOut(el)
-		d.nameIdxVer = d.version
-	}
-	if ordLive {
-		d.ordIdx.renumberRemove(el, i0)
-		d.ordVer = d.version
-	}
-	if d.spanIdx != nil && d.spanIdxVer == old {
-		d.spanIdx = rebuildSpanIndex(d.elemCache, d.spanIdx)
-		d.spanIdxVer = d.version
-	}
+	d.nameSpliceOut(el)
+	d.ordIdx.renumberRemove(el, i0)
+	d.spanIdx = rebuildSpanIndex(d.elemCache, d.spanIdx)
+	d.idxVer = d.version
 }
 
-// retainCaches advances the version while keeping every live derived
-// cache valid — for mutations that change no indexed state (adding or
-// removing an element-free hierarchy).
+// retainCaches advances the version while keeping a live index snapshot
+// live — for mutations that change no indexed state (adding or removing
+// an element-free hierarchy).
 func (d *Document) retainCaches() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	old := d.version
+	live := d.indexLiveLocked()
 	d.version++
-	if d.noRepair {
-		return
-	}
-	if d.elemCache != nil && d.elemCacheVer == old {
-		d.elemCacheVer = d.version
-	}
-	if d.spanIdx != nil && d.spanIdxVer == old {
-		d.spanIdxVer = d.version
-	}
-	if d.ordIdx != nil && d.ordVer == old {
-		d.ordVer = d.version
-	}
-	if d.nameIdx != nil && d.nameIdxVer == old {
-		d.nameIdxVer = d.version
+	if live && !d.noRepair {
+		d.idxVer = d.version
 	}
 }
 

@@ -165,10 +165,8 @@ func assertIndexesEqualRebuild(t *testing.T, d *Document) {
 func (d *Document) indexesLive() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.elemCache != nil && d.elemCacheVer == d.version &&
-		d.spanIdx != nil && d.spanIdxVer == d.version &&
-		d.ordIdx != nil && d.ordVer == d.version &&
-		d.nameIdx != nil && d.nameIdxVer == d.version
+	return d.elemCache != nil && d.spanIdx != nil && d.ordIdx != nil && d.nameIdx != nil &&
+		d.idxVer == d.version
 }
 
 // TestRepairDifferential drives random edit sequences — element inserts

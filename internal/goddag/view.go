@@ -10,14 +10,15 @@ import (
 
 // This file is the lazy-materialization mode backing the v3 store's
 // open-without-decode path. A view-backed document is created with
-// FromView over a columnar image (Columns) that typically aliases a
-// read-only file mapping: opening costs nothing beyond the hierarchy
-// shells, and the first structural access materializes every element
-// and derived index in one bulk pass straight off the columns — no
-// parsing, no sorting, no ordinal merge, because the columns *are* the
-// serialized indexes. Mutations promote the document to pure heap form
-// first (promote), since the in-place index repair (repair.go) writes
-// into the ordinal arrays, which may alias the read-only mapping.
+// FromView over a columnar image (Columns) that the store has already
+// validated in full and that typically aliases a read-only file mapping:
+// opening costs the validation and the hierarchy shells, and the first
+// structural access materializes every element and the index snapshot
+// in one bulk pass straight off the columns — no parsing, no sorting, no
+// ordinal merge, because the columns *are* the serialized indexes.
+// Materialization cannot fail. Mutations promote the document to pure
+// heap form first (promote), since the in-place index repair (repair.go)
+// writes into the ordinal arrays, which may alias the read-only mapping.
 //
 // ExportColumns is the inverse: it flattens a live document into the
 // same columnar image, which the store serializes as the v3 sections.
@@ -76,10 +77,10 @@ type DocView struct {
 	RootTag   string
 	Content   string
 	HierNames []string
-	// Materialize validates and returns the columnar image. It is called
-	// at most once, under the document mutex, on the first structural
-	// access.
-	Materialize func() (*Columns, error)
+	// Columns is the validated columnar image. The first structural
+	// access materializes the document from it and sets it to nil, so
+	// only the document's own arrays stay reachable afterwards.
+	Columns *Columns
 	// Keep pins the image's backing store (the file mapping) for as long
 	// as the document is reachable: a materialized document's ordinal
 	// tables alias it until a mutation promotes them. Nothing else the
@@ -104,20 +105,6 @@ func FromView(v *DocView) *Document {
 	d.residentBytes.Store(512 + int64(len(v.RootTag)) + v.TextBytes)
 	d.viewPending.Store(true)
 	return d
-}
-
-// ViewErr reports the deferred materialization error of a view-backed
-// document: when the columnar image fails validation on first touch the
-// document parks the error here and presents an element-free structure
-// instead of panicking mid-query. Heap documents always return nil.
-func (d *Document) ViewErr() error {
-	if d.view == nil {
-		return nil
-	}
-	d.ensure()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.viewErr
 }
 
 // ResidentFootprint reports the heap bytes a still-mapped view-backed
@@ -182,17 +169,12 @@ func (d *Document) promote() {
 	d.mu.Unlock()
 }
 
-// materializeLocked builds the full element layer and every derived
-// index from the columnar image in one pass, stamping them at the
-// current version. On a validation failure the error is parked in
-// viewErr and the document stays element-free (the normal lazy rebuilds
-// then see a consistent empty structure).
+// materializeLocked builds the full element layer and the index
+// snapshot from the validated columnar image in one pass, stamping the
+// snapshot at the current version, and drops the image.
 func (d *Document) materializeLocked() {
-	cols, err := d.view.Materialize()
-	if err != nil {
-		d.viewErr = err
-		return
-	}
+	cols := d.view.Columns
+	d.view.Columns = nil
 	n := len(cols.Tag)
 	nattr := len(cols.AttrName)
 	nl := len(cols.Cuts)
@@ -310,7 +292,7 @@ func (d *Document) materializeLocked() {
 		cache[k] = e
 	}
 	d.seq = n
-	d.elemCache, d.elemCacheVer = cache, d.version
+	d.elemCache = cache
 
 	var empty []*Element
 	for _, e := range cache {
@@ -319,7 +301,6 @@ func (d *Document) materializeLocked() {
 		}
 	}
 	d.ordIdx = &Ordinals{doc: d, els: cache, leafOrd: cols.LeafOrd, byOrd: cols.ByOrd, empty: empty}
-	d.ordVer = d.version
 	d.viewAliased = cols.Aliased
 
 	ix := &spanIndex{els: cache}
@@ -329,7 +310,7 @@ func (d *Document) materializeLocked() {
 			ix.maxEnd[i] = int(v)
 		}
 	}
-	d.spanIdx, d.spanIdxVer = ix, d.version
+	d.spanIdx = ix
 
 	bucketArena := make([]*Element, n)
 	idx := make(map[string][]*Element, len(cols.Buckets))
@@ -342,7 +323,8 @@ func (d *Document) materializeLocked() {
 		}
 		idx[strs[b.Tag]] = bucketArena[lo:off:off]
 	}
-	d.nameIdx, d.nameIdxVer = idx, d.version
+	d.nameIdx = idx
+	d.idxVer = d.version
 
 	const ptrSize = int64(unsafe.Sizeof(uintptr(0)))
 	est := d.residentBytes.Load()
@@ -360,18 +342,14 @@ func (d *Document) materializeLocked() {
 	d.residentBytes.Store(est)
 }
 
-// ExportColumns flattens the document into its columnar v3 image,
-// warming every derived index first so the columns are exactly the
-// serialized form of the live query structures. Coordinates must fit
-// int32; the store's encoder enforces the content-length bound.
+// ExportColumns flattens the document into its columnar v3 image from
+// the index snapshot, so the columns are exactly the serialized form of
+// the live query structures. Coordinates must fit int32; the store's
+// encoder enforces the content-length bound.
 func (d *Document) ExportColumns() *Columns {
-	d.ensure()
-	ords := d.Ordinals()
-	ix := d.index()
-	d.ElementsNamed("")
 	d.mu.Lock()
-	els := d.elemCache
-	nameIdx := d.nameIdx
+	d.indexesLocked()
+	els, ords, ix, nameIdx := d.elemCache, d.ordIdx, d.spanIdx, d.nameIdx
 	d.mu.Unlock()
 
 	n := len(els)

@@ -2,26 +2,22 @@ package goddag
 
 import "unsafe"
 
-// Warm eagerly builds every lazily derived index of the document: the
-// cross-hierarchy element cache, the span interval index, the ordinal
-// numbering with its per-hierarchy pre-order arrays, and the tag name
-// index. A freshly parsed (or decoded) document otherwise pays each
-// rebuild on the first query that needs it — and, because rebuilds
-// serialize on the document mutex, the first wave of concurrent queries
-// against a cold document contends on that one rebuild. Serving layers
-// (internal/catalog) call Warm once at load time, off the query path, so
-// documents enter service with all indexes resident.
+// Warm eagerly builds the document's index snapshot: the cross-hierarchy
+// element list, the span interval index, the ordinal numbering with its
+// per-hierarchy pre-order arrays, and the name buckets. A freshly parsed
+// (or decoded) document otherwise pays the rebuild on the first query
+// that needs it — and, because the rebuild serializes on the document
+// mutex, the first wave of concurrent queries against a cold document
+// contends on it. Serving layers (internal/catalog) call Warm once at
+// load time, off the query path, so documents enter service with all
+// indexes resident.
 //
-// Warm is idempotent and cheap on an already-warm document (four
-// version-stamp checks). Like all reads it must not run concurrently
-// with mutations.
+// Warm is idempotent and cheap on an already-warm document (one stamp
+// check). Like all reads it must not run concurrently with mutations.
 func (d *Document) Warm() {
-	d.Elements()
-	d.index()
-	d.Ordinals()
-	// ElementsNamed builds the whole tag → elements map on first use,
-	// whatever tag is asked for.
-	d.ElementsNamed("")
+	d.mu.Lock()
+	d.indexesLocked()
+	d.mu.Unlock()
 }
 
 // Footprint estimates the document's resident heap bytes: content (plus

@@ -28,16 +28,19 @@ func TestWarmBuildsAllIndexes(t *testing.T) {
 	d.Warm()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.elemCache == nil || d.elemCacheVer != d.version {
+	if d.idxVer != d.version {
+		t.Error("index snapshot not warm")
+	}
+	if d.elemCache == nil {
 		t.Error("element cache not warm")
 	}
-	if d.spanIdx == nil || d.spanIdxVer != d.version {
+	if d.spanIdx == nil {
 		t.Error("span index not warm")
 	}
-	if d.ordIdx == nil || d.ordVer != d.version {
+	if d.ordIdx == nil {
 		t.Error("ordinals not warm")
 	}
-	if d.nameIdx == nil || d.nameIdxVer != d.version {
+	if d.nameIdx == nil {
 		t.Error("name index not warm")
 	}
 }
@@ -51,7 +54,7 @@ func TestWarmInvalidatedByMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.mu.Lock()
-	live := d.ordVer == d.version && d.elemCacheVer == d.version
+	live := d.idxVer == d.version
 	d.mu.Unlock()
 	if !live {
 		t.Fatal("element insertion did not repair warm indexes in place")
@@ -69,7 +72,7 @@ func TestWarmInvalidatedByMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	d2.mu.Lock()
-	stale := d2.ordVer != d2.version
+	stale := d2.idxVer != d2.version
 	d2.mu.Unlock()
 	if !stale {
 		t.Fatal("mutation did not invalidate warm indexes with repair disabled")
@@ -84,7 +87,7 @@ func TestWarmInvalidatedByMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.mu.Lock()
-	stale = d.ordVer != d.version
+	stale = d.idxVer != d.version
 	d.mu.Unlock()
 	if !stale {
 		t.Fatal("text edit did not invalidate warm indexes")

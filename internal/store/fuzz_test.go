@@ -61,11 +61,18 @@ func FuzzDecode(f *testing.F) {
 		}
 		// Mapped v3 path: open must bound every access to the image
 		// (out-of-range section offsets are errors, not reads), and full
-		// validation must never panic or over-read.
+		// validation must never panic or over-read. Document is the one
+		// point where an image fails: once it accepts the image, Decode
+		// accepts it too, and the document materializes into a GODDAG
+		// that passes its own invariant check.
 		if m, err := OpenMappedBytes(data); err == nil {
-			if err := m.Validate(); err == nil {
-				if _, derr := m.Document(); derr != nil {
-					t.Fatalf("image validates but Document fails: %v", derr)
+			if g, err := m.Document(); err == nil {
+				if _, derr := Decode(bytes.NewReader(data)); derr != nil {
+					t.Fatalf("Document accepts the image but Decode fails: %v", derr)
+				}
+				g.Warm()
+				if cerr := g.Check(); cerr != nil {
+					t.Fatalf("accepted image materializes inconsistently: %v", cerr)
 				}
 			}
 		}

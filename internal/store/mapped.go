@@ -31,10 +31,10 @@ func MappedBytes() int64 { return mappedBytes.Load() }
 // Mapped is an open v3 file: the raw bytes (usually a read-only file
 // mapping) plus the validated section directory. Opening validates only
 // the header, directory bounds, and the header checksum — microseconds,
-// no decode. Document() adds the metadata and content checks and
-// returns a lazily materializing document; the full section checksums
-// and structural validation run once, on the document's first
-// structural access (or eagerly via Validate).
+// no decode. Document() is the one point where an image can fail: it
+// runs every section checksum and the structural checks of the columns,
+// and returns a lazily materializing document whose first structural
+// access cannot fail.
 type Mapped struct {
 	data []byte
 	m    *faultfs.Mapping // nil for byte-backed opens
@@ -111,8 +111,8 @@ func OpenMappedBytes(data []byte) (*Mapped, error) {
 	return openMapped(data)
 }
 
-// OpenMappedDoc is the one-call open path: map, validate, and return
-// the lazily materializing document. The handle is returned alongside
+// OpenMappedDoc is the one-call open path: map, validate in full, and
+// return the lazily materializing document. The handle is returned alongside
 // for metrics and explicit lifetime control.
 func OpenMappedDoc(fsys faultfs.FS, path string) (*goddag.Document, *Mapped, error) {
 	m, err := OpenMappedFile(fsys, path)
@@ -233,10 +233,11 @@ func (m *Mapped) checkCRC(id int) error {
 }
 
 // Document returns the lazily materializing document over the mapping.
-// It verifies the meta and content sections (checksums plus O(1)
-// length cross-checks for every column) and resolves the root and
-// hierarchy names; the element columns are validated on first
-// structural access. Repeated calls return the same document.
+// It validates the whole image: the meta section with O(1) length
+// cross-checks for every column, every section checksum, the root and
+// hierarchy names, and the structural checks of columns. A damaged
+// image fails here and nowhere later. Repeated calls return the same
+// document.
 func (m *Mapped) Document() (*goddag.Document, error) {
 	m.docOnce.Do(func() { m.doc, m.docErr = m.buildDoc() })
 	return m.doc, m.docErr
@@ -311,8 +312,10 @@ func (m *Mapped) buildDoc() (*goddag.Document, error) {
 		m.content, m.blob = buf[:nc:nc], buf[nc:]
 		copied = int64(len(buf))
 	}
-	if err := m.checkCRC(secContent); err != nil {
-		return nil, err
+	for id := secContent; id <= secMax; id++ {
+		if err := m.checkCRC(id); err != nil {
+			return nil, err
+		}
 	}
 	rootTag, err := m.str(m.rootTagID)
 	if err != nil {
@@ -329,19 +332,23 @@ func (m *Mapped) buildDoc() (*goddag.Document, error) {
 		}
 		seen[names[i]] = true
 	}
+	cols, err := m.columns(names)
+	if err != nil {
+		return nil, err
+	}
 	return goddag.FromView(&goddag.DocView{
-		RootTag:     rootTag,
-		Content:     bstr(m.content),
-		HierNames:   names,
-		Materialize: m.columns,
-		Keep:        m,
-		TextBytes:   copied,
+		RootTag:   rootTag,
+		Content:   bstr(m.content),
+		HierNames: names,
+		Columns:   cols,
+		Keep:      m,
+		TextBytes: copied,
 	}), nil
 }
 
 // str resolves one string-table entry with individual bounds checks —
-// used before the table as a whole has been validated (root and
-// hierarchy names at Document() time).
+// used before columns validates the table as a whole (root and
+// hierarchy names).
 func (m *Mapped) str(id uint32) (string, error) {
 	if int(id) >= m.nstrings {
 		return "", fmt.Errorf("store: string id %d out of range [0,%d)", id, m.nstrings)
@@ -355,18 +362,13 @@ func (m *Mapped) str(id uint32) (string, error) {
 	return bstr(m.blob[lo:hi]), nil
 }
 
-// columns verifies the remaining section checksums, validates the
-// element columns structurally (every index in range, orders and
-// prefixes monotonic, ordinal tables mutually consistent), and returns
-// the columnar image, aliasing the mapping wherever layout permits. Of
-// the aliased columns only the ordinal tables outlive materialization.
-// Called once per document, on its first structural access.
-func (m *Mapped) columns() (*goddag.Columns, error) {
-	for id := secStrBlob; id <= secBuckets; id++ {
-		if err := m.checkCRC(id); err != nil {
-			return nil, err
-		}
-	}
+// columns validates the element columns structurally (every index in
+// range, orders and prefixes monotonic, ordinal tables mutually
+// consistent) once their checksums have passed, and returns the
+// columnar image over the hierarchies names, aliasing the mapping
+// wherever layout permits. Of the aliased columns only the ordinal
+// tables outlive materialization.
+func (m *Mapped) columns(names []string) (*goddag.Columns, error) {
 	n, nl, nattrs, nstr := m.nelems, m.nleaves, m.nattrs, m.nstrings
 
 	strOff, _ := u32view(m.sec(secStrOff))
@@ -512,11 +514,7 @@ func (m *Mapped) columns() (*goddag.Columns, error) {
 
 	hiers := make([]goddag.HierColumns, m.nhier)
 	for i := range hiers {
-		name, err := m.str(m.hierIDs[i])
-		if err != nil {
-			return nil, err
-		}
-		hiers[i] = goddag.HierColumns{Name: name, N: m.hierCounts[i]}
+		hiers[i] = goddag.HierColumns{Name: names[i], N: m.hierCounts[i]}
 	}
 	return &goddag.Columns{
 		Strings: strs, Hiers: hiers,
@@ -529,8 +527,7 @@ func (m *Mapped) columns() (*goddag.Columns, error) {
 }
 
 // decodeV3Bytes fully decodes a v3 image into a (heap-buffer-backed)
-// document, forcing materialization so any damage surfaces as an error
-// rather than a parked ViewErr. Decode's v3 branch.
+// document, materialized and warm. Decode's v3 branch.
 func decodeV3Bytes(data []byte) (*goddag.Document, error) {
 	m, err := OpenMappedBytes(data)
 	if err != nil {
@@ -541,22 +538,14 @@ func decodeV3Bytes(data []byte) (*goddag.Document, error) {
 		return nil, err
 	}
 	doc.Warm()
-	if err := doc.ViewErr(); err != nil {
-		return nil, err
-	}
 	return doc, nil
 }
 
-// Validate eagerly runs the full validation the lazy path defers:
-// every section checksum plus the structural checks. Used by fuzzing
-// and by tools that must reject a damaged file before serving it.
+// Validate reports whether the image passed the full validation that
+// Document runs: every section checksum plus the structural checks.
 func (m *Mapped) Validate() error {
-	doc, err := m.Document()
-	if err != nil {
-		return err
-	}
-	doc.Warm()
-	return doc.ViewErr()
+	_, err := m.Document()
+	return err
 }
 
 // nativeLE reports whether the running architecture is little-endian —

@@ -13,9 +13,11 @@
 // span start/end, parent, pre-order interval, ordinal, attribute
 // prefix), the partition cuts, and the serialized derived indexes
 // (ordinal tables, document order, name buckets, span segment tree).
-// OpenMapped* validates only header + directory + checksums on the hot
-// metadata, maps the rest, and hands goddag a lazily materializing
-// view; Decode on a v3 stream reads it through the same path.
+// OpenMapped* validates the header and directory; Mapped.Document then
+// runs every section checksum and the structural checks of the columns
+// — the one point where a v3 image can fail — and hands goddag a lazily
+// materializing view over the validated columns; Decode on a v3 stream
+// reads it through the same path.
 //
 // Version 2 is the legacy streaming varint format:
 //
