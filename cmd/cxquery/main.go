@@ -34,9 +34,9 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cliutil"
@@ -121,7 +121,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			if err := run(ctx, doc, xq, fq, budget, *jsonOut, *quiet, p); err != nil {
+			if err := run(ctx, os.Stdout, doc, xq, fq, budget, *jsonOut, *quiet, p); err != nil {
 				fatal(err)
 			}
 		}
@@ -139,81 +139,73 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if err := run(ctx, doc, xq, fq, budget, *jsonOut, *quiet, ""); err != nil {
+	if err := run(ctx, os.Stdout, doc, xq, fq, budget, *jsonOut, *quiet, ""); err != nil {
 		fatal(err)
 	}
 }
 
-// run evaluates the pre-compiled query against one document and prints
-// the result through the shared cliutil renderers. file is the input
-// path in -each mode (empty otherwise): text lines get it as a prefix
-// column, JSON output wraps it into the emitted object so every line
-// stays valid JSON.
-func run(ctx context.Context, doc *core.Document, xq *xpath.Query, fq *xquery.Query, budget xpath.Budget, jsonOut, quiet bool, file string) error {
-	prefix := ""
-	if file != "" {
-		prefix = file + ": "
-	}
+// run evaluates the pre-compiled query against one document and writes
+// the result to w through the shared cliutil renderers. file is the
+// input path in -each mode (empty otherwise): text lines get it as a
+// prefix column, JSON output wraps it into the emitted object so every
+// line stays valid JSON.
+func run(ctx context.Context, w io.Writer, doc *core.Document, xq *xpath.Query, fq *xquery.Query, budget xpath.Budget, jsonOut, quiet bool, file string) error {
+	var (
+		v    xpath.Value
+		vals []xpath.Value
+		err  error
+	)
 	if fq != nil {
-		vals, err := fq.EvalContext(ctx, doc.GODDAG(), budget)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			if quiet {
-				return emitJSON(map[string]int{"count": len(vals)}, file)
-			}
-			out := make([]cliutil.ValueJSON, len(vals))
-			for i, v := range vals {
-				out[i] = cliutil.EncodeValue(v, 0)
-			}
-			return emitJSON(out, file)
-		}
-		return prefixed(prefix, func(w *prefixWriter) {
-			cliutil.WriteFLWOR(w, vals, quiet, 0)
-		})
+		vals, err = fq.EvalContext(ctx, doc.GODDAG(), budget)
+	} else {
+		v, err = xq.EvalContext(ctx, doc.GODDAG(), budget)
 	}
-	v, err := xq.EvalContext(ctx, doc.GODDAG(), budget)
 	if err != nil {
 		return err
 	}
-	if jsonOut {
-		enc := cliutil.EncodeValue(v, 0)
-		if quiet {
-			// -count with -json: sizes only, no node dump.
-			enc.Nodes, enc.Attrs = nil, nil
+	if !jsonOut {
+		pw := &prefixWriter{w: w}
+		if file != "" {
+			pw.prefix = file + ": "
 		}
-		return emitJSON(enc, file)
+		if fq != nil {
+			cliutil.WriteFLWOR(pw, vals, quiet, 0)
+		} else {
+			cliutil.WriteValue(pw, v, quiet, 0)
+		}
+		return pw.err
 	}
-	return prefixed(prefix, func(w *prefixWriter) {
-		cliutil.WriteValue(w, v, quiet, 0)
-	})
-}
-
-// emitJSON writes one JSON document per input; in -each mode the result
-// nests under {"file": ..., "result": ...} so consumers can stream one
-// parseable object per file.
-func emitJSON(v any, file string) error {
+	// One JSON document per input; in -each mode the result nests under
+	// {"file": ..., "result": ...} so consumers can stream one parseable
+	// object per file.
+	var buf []byte
 	if file != "" {
-		v = struct {
-			File   string `json:"file"`
-			Result any    `json:"result"`
-		}{File: file, Result: v}
+		buf = append(buf, `{"file":`...)
+		buf = cliutil.AppendJSONString(buf, file)
+		buf = append(buf, `,"result":`...)
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetEscapeHTML(false)
-	return enc.Encode(v)
+	switch {
+	case fq != nil && quiet:
+		buf = append(buf, `{"count":`...)
+		buf = cliutil.AppendUint(buf, int64(len(vals)))
+		buf = append(buf, '}')
+	case fq != nil:
+		buf, _ = cliutil.AppendValuesJSON(buf, vals, 0)
+	default:
+		// -count with -json: sizes only, no node dump.
+		buf, _, _ = cliutil.AppendValueJSON(buf, v, quiet, 0)
+	}
+	if file != "" {
+		buf = append(buf, '}')
+	}
+	_, err = w.Write(append(buf, '\n'))
+	return err
 }
 
-func prefixed(prefix string, f func(w *prefixWriter)) error {
-	w := &prefixWriter{prefix: prefix}
-	f(w)
-	return w.err
-}
-
-// prefixWriter writes lines to stdout, prefixing each with a fixed
-// string (the file name in -each mode; empty otherwise).
+// prefixWriter writes lines to w, prefixing each with a fixed string
+// (the file name in -each mode; empty otherwise).
 type prefixWriter struct {
+	w      io.Writer
 	prefix string
 	buf    []byte
 	err    error
@@ -231,12 +223,12 @@ func (w *prefixWriter) Write(p []byte) (int, error) {
 		}
 		line := w.buf[:i+1]
 		if w.prefix != "" {
-			if _, err := os.Stdout.WriteString(w.prefix); err != nil {
+			if _, err := io.WriteString(w.w, w.prefix); err != nil {
 				w.err = err
 				return 0, err
 			}
 		}
-		if _, err := os.Stdout.Write(line); err != nil {
+		if _, err := w.w.Write(line); err != nil {
 			w.err = err
 			return 0, err
 		}

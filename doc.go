@@ -55,9 +55,10 @@
 // index pre-warming (goddag.Document.Warm), and a byte-budgeted LRU
 // over goddag.Document.Footprint estimates — and internal/server +
 // cmd/cxserve expose it over HTTP: POST /query evaluates Extended
-// XPath and FLWOR with a shared compiled-query cache, and results
-// render through the same internal/cliutil encoders the cxquery CLI
-// uses, so server and CLI output are byte-identical.
+// XPath and FLWOR with a shared compiled-query cache, and every result
+// kind renders through the same internal/cliutil append encoders the
+// cxquery CLI uses, so server and CLI output are byte-identical (the
+// materializing cliutil.EncodeValue survives as their test oracle).
 //
 // Every request the serving layer handles carries a real lifecycle: a
 // context.Context deadline (the server default, tightened per request)

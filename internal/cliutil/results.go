@@ -1,18 +1,14 @@
 package cliutil
 
 import (
-	"fmt"
-	"io"
-
 	"repro/internal/goddag"
 	"repro/internal/xpath"
 )
 
-// This file is the single implementation of query-result rendering,
-// shared by the cxquery CLI (text lines) and the cxserve HTTP service
-// (JSON and text). Keeping one encoder guarantees the serving layer's
-// results stay byte-identical to the CLI's for the same document and
-// query — a property the server's handler tests assert.
+// This file is the reference renderer: the wire types clients decode
+// into and the materializing encoders that build them. cxquery and
+// cxserve render through stream.go; encoding/json over EncodeValue is
+// the oracle those append encoders are held to byte for byte.
 
 // SpanJSON is a half-open offset interval in a JSON result.
 type SpanJSON struct {
@@ -52,23 +48,17 @@ type ValueJSON struct {
 	Truncated bool `json:"truncated,omitempty"`
 }
 
-// EncodeNode converts a result node to its wire form.
+// EncodeNode converts a result node to its wire form. It converts
+// spans through the content's rune index, not a NodeEncoder's cursors,
+// so the append encoders are checked against an independent path.
 func EncodeNode(n goddag.Node) NodeJSON {
-	var e NodeEncoder
-	return e.EncodeNode(n)
-}
-
-// EncodeNode is the cursor-carrying form of the package function: spans
-// of document-ordered node sequences convert in amortized O(1).
-func (e *NodeEncoder) EncodeNode(n goddag.Node) NodeJSON {
-	content := n.Document().Content()
 	sp := n.Span()
+	rs := n.Document().Content().RuneSpan(sp)
 	out := NodeJSON{
 		ByteSpan: SpanJSON{Start: sp.Start, End: sp.End},
+		RuneSpan: SpanJSON{Start: rs.Start, End: rs.End},
 		Text:     n.Text(),
 	}
-	rs := e.runeSpan(content, sp)
-	out.RuneSpan = SpanJSON{Start: rs.Start, End: rs.End}
 	switch v := n.(type) {
 	case *goddag.Element:
 		out.Kind = "element"
@@ -88,31 +78,21 @@ func (e *NodeEncoder) EncodeNode(n goddag.Node) NodeJSON {
 // the number of encoded nodes/attributes (Count keeps the true size and
 // Truncated is set); limit <= 0 encodes everything.
 func EncodeValue(v xpath.Value, limit int) ValueJSON {
-	if attrs := v.Attrs(); len(attrs) > 0 {
-		out := ValueJSON{Type: "attribute-set", Count: len(attrs)}
-		if limit > 0 && len(attrs) > limit {
-			attrs, out.Truncated = attrs[:limit], true
-		}
-		out.Attrs = make([]AttrJSON, len(attrs))
-		for i, a := range attrs {
-			out.Attrs[i] = AttrJSON{Owner: a.Owner.Name(), Name: a.Name, Value: a.Value}
-		}
-		return out
+	if !v.IsNodeSet() {
+		return ValueJSON{Type: v.Kind(), Count: 1, Value: v.String()}
 	}
-	if v.IsNodeSet() {
-		nodes := v.Nodes()
-		out := ValueJSON{Type: "node-set", Count: len(nodes)}
-		if limit > 0 && len(nodes) > limit {
-			nodes, out.Truncated = nodes[:limit], true
-		}
-		out.Nodes = make([]NodeJSON, len(nodes))
-		var e NodeEncoder
-		for i, n := range nodes {
-			out.Nodes[i] = e.EncodeNode(n)
-		}
-		return out
+	attrs, nodes := v.Attrs(), v.Nodes() // one of them is empty
+	out := ValueJSON{Type: v.Kind(), Count: len(attrs) + len(nodes)}
+	if limit > 0 && out.Count > limit {
+		attrs, nodes, out.Truncated = attrs[:min(limit, len(attrs))], nodes[:min(limit, len(nodes))], true
 	}
-	return ValueJSON{Type: v.Kind(), Count: 1, Value: v.String()}
+	for _, a := range attrs {
+		out.Attrs = append(out.Attrs, AttrJSON{Owner: a.Owner.Name(), Name: a.Name, Value: a.Value})
+	}
+	for _, n := range nodes {
+		out.Nodes = append(out.Nodes, EncodeNode(n))
+	}
+	return out
 }
 
 // FormatNode renders one result node as the cxquery line format:
@@ -126,109 +106,4 @@ func EncodeValue(v xpath.Value, limit int) ValueJSON {
 // clipped to 60 runes.
 func FormatNode(n goddag.Node) string {
 	return string(AppendNodeText(nil, n))
-}
-
-// WriteValue writes a query result in the cxquery text format: scalars
-// as their string value, attribute sets as owner/@name = "value" lines,
-// node-sets as one FormatNode line per node. With countOnly, node and
-// attribute sets print only their (full) size. A limit > 0 caps the
-// printed node/attribute lines, mirroring EncodeValue; limit <= 0
-// prints everything.
-func WriteValue(w io.Writer, v xpath.Value, countOnly bool, limit int) {
-	if !v.IsNodeSet() {
-		fmt.Fprintln(w, v.String())
-		return
-	}
-	if attrs := v.Attrs(); len(attrs) > 0 {
-		if countOnly {
-			fmt.Fprintln(w, len(attrs))
-			return
-		}
-		if limit > 0 && len(attrs) > limit {
-			attrs = attrs[:limit]
-		}
-		for _, a := range attrs {
-			fmt.Fprintf(w, "%s/@%s = %q\n", a.Owner, a.Name, a.Value)
-		}
-		return
-	}
-	nodes := v.Nodes()
-	if countOnly {
-		fmt.Fprintln(w, len(nodes))
-		return
-	}
-	if limit > 0 && len(nodes) > limit {
-		nodes = nodes[:limit]
-	}
-	// Render through the pooled append encoder: one recycled buffer per
-	// call instead of two allocations (format + println) per node.
-	bp := scratchPool.Get().(*[]byte)
-	defer scratchPool.Put(bp)
-	var e NodeEncoder
-	for _, n := range nodes {
-		buf := e.AppendNodeText((*bp)[:0], n)
-		buf = append(buf, '\n')
-		*bp = buf[:0]
-		if _, err := w.Write(buf); err != nil {
-			return
-		}
-	}
-}
-
-// WriteFLWOR writes FLWOR results in the cxquery text format: node-set
-// tuples expand to one FormatNode line per node, scalar tuples to their
-// string value. With countOnly only the tuple count prints. A limit > 0
-// caps the total printed node/attribute lines across all tuples;
-// limit <= 0 prints everything.
-func WriteFLWOR(w io.Writer, vals []xpath.Value, countOnly bool, limit int) {
-	if countOnly {
-		fmt.Fprintln(w, len(vals))
-		return
-	}
-	remaining := limit
-	for _, v := range vals {
-		if limit > 0 && remaining <= 0 {
-			return
-		}
-		if attrs := v.Attrs(); len(attrs) > 0 {
-			if limit > 0 && len(attrs) > remaining {
-				attrs = attrs[:remaining]
-			}
-			for _, a := range attrs {
-				fmt.Fprintf(w, "%s/@%s = %q\n", a.Owner, a.Name, a.Value)
-			}
-			remaining -= len(attrs)
-			continue
-		}
-		if v.IsNodeSet() {
-			nodes := v.Nodes()
-			if limit > 0 && len(nodes) > remaining {
-				nodes = nodes[:remaining]
-			}
-			bp := scratchPool.Get().(*[]byte)
-			var e NodeEncoder
-			for _, n := range nodes {
-				buf := e.AppendNodeText((*bp)[:0], n)
-				buf = append(buf, '\n')
-				*bp = buf[:0]
-				if _, err := w.Write(buf); err != nil {
-					scratchPool.Put(bp)
-					return
-				}
-			}
-			scratchPool.Put(bp)
-			remaining -= len(nodes)
-			continue
-		}
-		fmt.Fprintln(w, v.String())
-		remaining--
-	}
-}
-
-func clip(s string) string {
-	r := []rune(s)
-	if len(r) > 60 {
-		return string(r[:57]) + "..."
-	}
-	return s
 }

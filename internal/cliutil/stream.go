@@ -1,24 +1,25 @@
 package cliutil
 
 import (
+	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf8"
 
 	"repro/internal/document"
 	"repro/internal/goddag"
+	"repro/internal/xpath"
 )
 
-// This file is the streaming side of result rendering: append-style
-// encoders that write one node at a time into a caller-supplied byte
-// slice, so the serving layer can emit arbitrarily large node-sets with
-// a small constant amount of scratch memory instead of materializing a
-// []NodeJSON. The byte output is pinned to the materializing encoders:
-// AppendNodeJSON produces exactly what encoding/json (SetEscapeHTML
-// false) produces for EncodeNode's NodeJSON, and AppendNodeText
-// produces exactly FormatNode — equivalence tests in this package
-// compare them byte for byte.
+// This file is the one query-result renderer cxquery and cxserve call:
+// append-style encoders that write one node, attribute or scalar at a
+// time, so a result of any size renders with constant scratch memory.
+// Its bytes are pinned to the reference renderer in results.go:
+// AppendValueJSON produces exactly encoding/json (SetEscapeHTML false)
+// of EncodeValue, and AppendNodeText exactly FormatNode; equivalence
+// tests in this package compare them byte for byte.
 
 // NodeSource is the pull contract the stream encoders consume: Next
 // returns nodes in document order and (nil, nil) at the end; Size
@@ -293,16 +294,197 @@ var scratchPool = sync.Pool{New: func() any {
 	return &b
 }}
 
+// nodeFeed is the input of the one node loop: a NodeSource, or a
+// materialized node set read in place. Holding the slice directly,
+// rather than behind a NodeSource adapter, keeps a per-value adapter
+// from escaping to the heap once per FLWOR tuple.
+type nodeFeed struct {
+	src NodeSource
+	ns  []goddag.Node
+}
+
+func (f *nodeFeed) next() (goddag.Node, error) {
+	if f.src != nil {
+		return f.src.Next()
+	}
+	if len(f.ns) == 0 {
+		return nil, nil
+	}
+	n := f.ns[0]
+	f.ns = f.ns[1:]
+	return n, nil
+}
+
+func (f *nodeFeed) size() int {
+	if f.src != nil {
+		return f.src.Size()
+	}
+	return len(f.ns)
+}
+
+// AppendNodeSetJSON appends the wire form of the node set src yields,
+// as AppendValueJSON does for the same nodes. Past a limit > 0 the rest
+// of src is drained (counted, not encoded) so "count" reports the full
+// size. A src error is returned unchanged.
+func AppendNodeSetJSON(dst []byte, src NodeSource, limit int) ([]byte, error) {
+	dst, _, _, err := appendNodesJSON(dst, &nodeFeed{src: src}, limit)
+	return dst, err
+}
+
+// appendNodesJSON is the one node loop of the JSON renderer. "count"
+// precedes "nodes" on the wire, so when the source cannot size itself
+// the count is spliced in once the drain has found it.
+func appendNodesJSON(dst []byte, f *nodeFeed, limit int) ([]byte, int, bool, error) {
+	dst = openValueJSON(dst, "node-set")
+	total := f.size() // exact for slices and scan plans, -1 otherwise
+	if total >= 0 {
+		dst = AppendUint(dst, int64(total))
+	}
+	countAt := len(dst)
+	written := 0
+	var ne NodeEncoder // rune cursors amortize span conversion
+	for limit <= 0 || written < limit {
+		n, err := f.next()
+		if err != nil {
+			return dst, written, false, err
+		}
+		if n == nil {
+			break
+		}
+		if written == 0 {
+			dst = append(dst, `,"nodes":[`...)
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = ne.AppendNodeJSON(dst, n)
+		written++
+	}
+	if written > 0 {
+		dst = append(dst, ']')
+	}
+	truncated := written < total
+	if total < 0 {
+		count := written
+		for {
+			n, err := f.next()
+			if err != nil {
+				return dst, written, false, err
+			}
+			if n == nil {
+				break
+			}
+			count++
+		}
+		truncated = count > written
+		var digits [20]byte
+		dst = slices.Insert(dst, countAt, AppendUint(digits[:0], int64(count))...)
+	}
+	if truncated {
+		dst = append(dst, `,"truncated":true`...)
+	}
+	return append(dst, '}'), written, truncated, nil
+}
+
+// openValueJSON starts a value's wire form, up to its count. Kind
+// names need no escaping.
+func openValueJSON(dst []byte, kind string) []byte {
+	dst = append(dst, `{"type":"`...)
+	dst = append(dst, kind...)
+	return append(dst, `","count":`...)
+}
+
+// AppendValueJSON appends the wire form of v, byte-identical to
+// encoding/json (SetEscapeHTML false, no trailing newline) of
+// EncodeValue(v, limit). With countOnly, sets render as type and count
+// alone. It also returns the number of nodes, attributes or scalars
+// encoded, and whether limit cut the list short.
+func AppendValueJSON(dst []byte, v xpath.Value, countOnly bool, limit int) ([]byte, int, bool) {
+	kind := v.Kind()
+	if !v.IsNodeSet() {
+		dst = append(openValueJSON(dst, kind), '1')
+		if s := v.String(); s != "" {
+			dst = append(dst, `,"value":`...)
+			dst = AppendJSONString(dst, s)
+		}
+		return append(dst, '}'), 1, false
+	}
+	attrs := v.Attrs()
+	if countOnly {
+		n := len(attrs) + len(v.Nodes()) // one of them is empty
+		dst = AppendUint(openValueJSON(dst, kind), int64(n))
+		return append(dst, '}'), 0, false
+	}
+	if kind != "attribute-set" {
+		dst, n, truncated, _ := appendNodesJSON(dst, &nodeFeed{ns: v.Nodes()}, limit)
+		return dst, n, truncated
+	}
+	dst = AppendUint(openValueJSON(dst, kind), int64(len(attrs)))
+	truncated := limit > 0 && len(attrs) > limit
+	if truncated {
+		attrs = attrs[:limit]
+	}
+	for i, a := range attrs {
+		if i == 0 {
+			dst = append(dst, `,"attrs":[`...)
+		} else {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"owner":`...)
+		dst = AppendJSONString(dst, a.Owner.Name())
+		dst = append(dst, `,"name":`...)
+		dst = AppendJSONString(dst, a.Name)
+		dst = append(dst, `,"value":`...)
+		dst = AppendJSONString(dst, a.Value)
+		dst = append(dst, '}')
+	}
+	if len(attrs) > 0 {
+		dst = append(dst, ']')
+	}
+	if truncated {
+		dst = append(dst, `,"truncated":true`...)
+	}
+	return append(dst, '}'), len(attrs), truncated
+}
+
+// AppendValuesJSON appends FLWOR tuples as a JSON array. A limit > 0
+// is one budget that the tuples' nodes, attributes and scalars spend,
+// so a FLWOR cannot bypass a response cap with one node per tuple;
+// truncated reports that it cut the array short.
+func AppendValuesJSON(dst []byte, vals []xpath.Value, limit int) (out []byte, truncated bool) {
+	dst = append(dst, '[')
+	remaining := limit
+	for i, v := range vals {
+		if limit > 0 && remaining <= 0 {
+			truncated = true
+			break
+		}
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var n int
+		var cut bool
+		dst, n, cut = AppendValueJSON(dst, v, false, remaining)
+		truncated = truncated || cut
+		remaining -= n
+	}
+	return append(dst, ']'), truncated
+}
+
 // WriteNodesText streams nodes from src as FormatNode lines. A limit
 // > 0 stops after limit nodes without pulling further; limit <= 0
 // writes everything. Returns the number of nodes written.
 func WriteNodesText(w io.Writer, src NodeSource, limit int) (int, error) {
+	return writeNodesText(w, &nodeFeed{src: src}, limit)
+}
+
+// writeNodesText is the one node loop of the text renderer.
+func writeNodesText(w io.Writer, f *nodeFeed, limit int) (int, error) {
 	bp := scratchPool.Get().(*[]byte)
 	defer scratchPool.Put(bp)
 	var e NodeEncoder
 	written := 0
 	for limit <= 0 || written < limit {
-		n, err := src.Next()
+		n, err := f.next()
 		if err != nil {
 			return written, err
 		}
@@ -319,4 +501,63 @@ func WriteNodesText(w io.Writer, src NodeSource, limit int) (int, error) {
 		written++
 	}
 	return written, nil
+}
+
+// writeValueText is the one line writer of the text renderer, in
+// WriteValue's format. It returns the lines written, the unit of
+// WriteFLWOR's shared cap.
+func writeValueText(w io.Writer, v xpath.Value, limit int) (int, error) {
+	if !v.IsNodeSet() {
+		_, err := fmt.Fprintln(w, v.String())
+		return 1, err
+	}
+	if attrs := v.Attrs(); len(attrs) > 0 {
+		if limit > 0 && len(attrs) > limit {
+			attrs = attrs[:limit]
+		}
+		for i, a := range attrs {
+			if _, err := fmt.Fprintf(w, "%s/@%s = %q\n", a.Owner, a.Name, a.Value); err != nil {
+				return i, err
+			}
+		}
+		return len(attrs), nil
+	}
+	return writeNodesText(w, &nodeFeed{ns: v.Nodes()}, limit)
+}
+
+// WriteValue writes a query result in the cxquery text format: scalars
+// as their string value, attribute sets as owner/@name = "value" lines,
+// node-sets as one FormatNode line per node. With countOnly, node and
+// attribute sets print only their (full) size. A limit > 0 caps the
+// printed node/attribute lines, mirroring EncodeValue; limit <= 0
+// prints everything.
+func WriteValue(w io.Writer, v xpath.Value, countOnly bool, limit int) {
+	if countOnly && v.IsNodeSet() {
+		fmt.Fprintln(w, len(v.Attrs())+len(v.Nodes())) // one of them is empty
+		return
+	}
+	writeValueText(w, v, limit)
+}
+
+// WriteFLWOR writes FLWOR results in the cxquery text format, each
+// tuple as WriteValue writes it. With countOnly only the tuple count
+// prints. A limit > 0 caps the total printed node/attribute lines
+// across all tuples (a scalar tuple spends one); limit <= 0 prints
+// everything.
+func WriteFLWOR(w io.Writer, vals []xpath.Value, countOnly bool, limit int) {
+	if countOnly {
+		fmt.Fprintln(w, len(vals))
+		return
+	}
+	remaining := limit
+	for _, v := range vals {
+		if limit > 0 && remaining <= 0 {
+			return
+		}
+		n, err := writeValueText(w, v, remaining)
+		if err != nil {
+			return
+		}
+		remaining -= n
+	}
 }

@@ -200,3 +200,176 @@ func TestAppendUint(t *testing.T) {
 		}
 	}
 }
+
+// clip is FormatNode's text clipping written the obvious way, the
+// reference appendClippedQuote is held to.
+func clip(s string) string {
+	r := []rune(s)
+	if len(r) > 60 {
+		return string(r[:57]) + "..."
+	}
+	return s
+}
+
+// valueQueries yields every value kind: node sets (empty, small,
+// large, from every node kind), attribute sets (empty and not), and
+// string, number and boolean scalars with escaping and empty values.
+var valueQueries = []string{
+	"//w", "//nosuch", "/", "//node()", "//line/covered::w", "//w/text()",
+	"//w/@n", "//line/@n", "//w/@nope",
+	"string(//w)", "string(//nosuch)", `concat("<&> \", '"', "\")`, "name(//line)",
+	"count(//w)", "1 div 0", "0 div 0", "-1.5",
+	"boolean(//w)", "not(//w)",
+}
+
+// encodeValueStdlib is the oracle: encoding/json of the reference
+// encoder, without the trailing newline.
+func encodeValueStdlib(t *testing.T, v any) string {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return strings.TrimSuffix(buf.String(), "\n")
+}
+
+// unsizedSource hides its size, as predicate, semi-join and join
+// streams do, so the count is known only after the drain.
+type unsizedSource struct{ sliceSource }
+
+func (s *unsizedSource) Size() int { return -1 }
+
+func TestAppendValueJSONMatchesEncodeValue(t *testing.T) {
+	doc := streamGridDoc(t, 4, corpus.MultibyteVocabulary)
+	for _, q := range valueQueries {
+		v, err := xpath.MustCompile(q).Eval(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := len(v.Nodes()) + len(v.Attrs())
+		for _, limit := range []int{0, 1, size, size + 1} {
+			want := EncodeValue(v, limit)
+			wantJSON := encodeValueStdlib(t, want)
+			got, n, truncated := AppendValueJSON(nil, v, false, limit)
+			if string(got) != wantJSON {
+				t.Fatalf("%s limit=%d:\n  got:  %.300s\n  want: %.300s", q, limit, got, wantJSON)
+			}
+			wantN := len(want.Nodes) + len(want.Attrs)
+			if !v.IsNodeSet() {
+				wantN = 1
+			}
+			if n != wantN || truncated != want.Truncated {
+				t.Fatalf("%s limit=%d: n=%d truncated=%v, want %d %v", q, limit, n, truncated, wantN, want.Truncated)
+			}
+			if v.Kind() != "node-set" {
+				continue
+			}
+			for _, src := range []NodeSource{&sliceSource{ns: v.Nodes()}, &unsizedSource{sliceSource{ns: v.Nodes()}}} {
+				got, err := AppendNodeSetJSON([]byte("prefix"), src, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != "prefix"+wantJSON {
+					t.Fatalf("%s limit=%d, %T: streamed node set differs:\n  got:  %.300s\n  want: %.300s", q, limit, src, got, wantJSON)
+				}
+			}
+		}
+		// countOnly is the reference with the lists dropped.
+		want := EncodeValue(v, 0)
+		want.Nodes, want.Attrs = nil, nil
+		if got, _, _ := AppendValueJSON(nil, v, true, 1); string(got) != encodeValueStdlib(t, want) {
+			t.Fatalf("%s countOnly: %s, want %s", q, got, encodeValueStdlib(t, want))
+		}
+	}
+}
+
+// TestEmptyAttributeSetKeepsKind: an attribute-axis query with no
+// match is an empty attribute set on the wire, as Value.Kind says, not
+// an empty node set.
+func TestEmptyAttributeSetKeepsKind(t *testing.T) {
+	doc := streamGridDoc(t, 2, nil)
+	v, err := xpath.MustCompile("//w/@nope").Eval(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"type":"attribute-set","count":0}`
+	if got := encodeValueStdlib(t, EncodeValue(v, 0)); got != want {
+		t.Errorf("EncodeValue: %s, want %s", got, want)
+	}
+	if got, _, _ := AppendValueJSON(nil, v, false, 0); string(got) != want {
+		t.Errorf("AppendValueJSON: %s, want %s", got, want)
+	}
+}
+
+// TestAppendValuesJSONSharedCap holds the FLWOR tuple array against
+// the reference loop: tuples encoded with the remaining budget until it
+// is spent, then the array ends and is marked truncated.
+func TestAppendValuesJSONSharedCap(t *testing.T) {
+	doc := streamGridDoc(t, 4, corpus.MultibyteVocabulary)
+	var vals []xpath.Value
+	for _, q := range valueQueries {
+		v, err := xpath.MustCompile(q).Eval(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals = append(vals, v)
+	}
+	for _, limit := range []int{0, 1, 5, 200, 1 << 20} {
+		for _, tuples := range [][]xpath.Value{nil, vals[:1], vals} {
+			want := []ValueJSON{}
+			remaining, wantTrunc := limit, false
+			for _, v := range tuples {
+				if limit > 0 && remaining <= 0 {
+					wantTrunc = true
+					break
+				}
+				enc := EncodeValue(v, remaining)
+				wantTrunc = wantTrunc || enc.Truncated
+				if v.IsNodeSet() {
+					remaining -= len(enc.Nodes) + len(enc.Attrs)
+				} else {
+					remaining--
+				}
+				want = append(want, enc)
+			}
+			got, truncated := AppendValuesJSON(nil, tuples, limit)
+			if w := encodeValueStdlib(t, want); string(got) != w || truncated != wantTrunc {
+				t.Fatalf("limit=%d, %d tuples: truncated=%v (want %v)\n  got:  %.300s\n  want: %.300s",
+					limit, len(tuples), truncated, wantTrunc, got, w)
+			}
+		}
+	}
+}
+
+// TestWriteFLWORMatchesWriteValue: each tuple writes as WriteValue
+// writes it, under the shared cap.
+func TestWriteFLWORMatchesWriteValue(t *testing.T) {
+	doc := streamGridDoc(t, 4, corpus.MultibyteVocabulary)
+	var vals []xpath.Value
+	for _, q := range valueQueries {
+		v, err := xpath.MustCompile(q).Eval(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals = append(vals, v)
+	}
+	var want bytes.Buffer
+	for _, v := range vals {
+		WriteValue(&want, v, false, 0)
+	}
+	var got bytes.Buffer
+	WriteFLWOR(&got, vals, false, 0)
+	if got.String() != want.String() {
+		t.Fatal("uncapped WriteFLWOR differs from WriteValue per tuple")
+	}
+	lines := strings.SplitAfter(want.String(), "\n")
+	for _, limit := range []int{1, 7, 300} {
+		got.Reset()
+		WriteFLWOR(&got, vals, false, limit)
+		if w := strings.Join(lines[:min(limit, len(lines))], ""); got.String() != w {
+			t.Fatalf("limit=%d: WriteFLWOR is not the first %d lines", limit, limit)
+		}
+	}
+}

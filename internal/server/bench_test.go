@@ -92,15 +92,21 @@ func TestServeAllocsFlat(t *testing.T) {
 			}
 		})
 	}
-	for _, format := range []string{"json", "text"} {
-		small := run(fmt.Sprintf(`{"doc":"ms","query":"//w","format":%q,"limit":8}`, format))
-		large := run(fmt.Sprintf(`{"doc":"ms","query":"//w","format":%q}`, format))
+	for _, tc := range []struct{ name, query string }{
+		{"json", `"query":"//w","format":"json"`},
+		{"text", `"query":"//w","format":"text"`},
+		// A FLWOR's tuples render through the same append encoders: no
+		// per-tuple allocation beyond what evaluation itself makes.
+		{"flwor json", `"flwor":"for $w in //w return $w","format":"json"`},
+	} {
+		small := run(fmt.Sprintf(`{"doc":"ms",%s,"limit":8}`, tc.query))
+		large := run(fmt.Sprintf(`{"doc":"ms",%s}`, tc.query))
 		// ~250x more result nodes must not mean more allocations; allow
 		// a small constant of slack for buffer-size-class noise.
 		if large > small+25 {
-			t.Errorf("%s: allocs scale with result size: %.0f (2000 nodes) vs %.0f (8 nodes)", format, large, small)
+			t.Errorf("%s: allocs scale with result size: %.0f (2000 nodes) vs %.0f (8 nodes)", tc.name, large, small)
 		}
-		t.Logf("%s: allocs/request: %.0f large, %.0f small", format, large, small)
+		t.Logf("%s: allocs/request: %.0f large, %.0f small", tc.name, large, small)
 	}
 }
 

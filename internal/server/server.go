@@ -56,12 +56,13 @@
 //	{"doc": "ms", "flwor": "for $w in //w return $w", "format": "text"}
 //
 // and responds with the result in the requested format: "json" (default;
-// cliutil.ValueJSON — hierarchy, tag, byte and rune span, text per node),
-// "text" (byte-identical to the cxquery CLI output for the same document
-// and query — both render through internal/cliutil), or "count". The
-// node cap (request "limit", else Config.MaxResults) bounds encoded
-// nodes in every format except "count": JSON responses flag truncation,
-// text responses simply stop at the cap, so text output matches the
+// QueryResponse, results in the cliutil.ValueJSON schema — hierarchy,
+// tag, byte and rune span, text per node), "text" (byte-identical to
+// the cxquery CLI output for the same document and query), or "count",
+// all through the append encoders of internal/cliutil. The node cap
+// (request "limit", else Config.MaxResults) bounds encoded nodes in
+// every format except "count": JSON responses flag truncation, text
+// responses simply stop at the cap, so text output matches the
 // (uncapped) CLI exactly for results within the cap.
 //
 // Compiled queries are cached in an LRU shared across requests and
@@ -381,20 +382,6 @@ type TraceJSON struct {
 	Visited int64       `json:"visited,omitempty"`
 }
 
-// traceJSON renders tr for the response; nil in, nil out.
-func traceJSON(tr *obs.Trace) *TraceJSON {
-	if tr == nil {
-		return nil
-	}
-	st := tr.Stages()
-	out := &TraceJSON{ID: tr.ID, TotalUS: tr.Total().Microseconds(), Visited: tr.Visited(),
-		Stages: make([]StageJSON, len(st))}
-	for i, s := range st {
-		out.Stages[i] = StageJSON{Name: s.Name, US: s.Dur.Microseconds()}
-	}
-	return out
-}
-
 // nextRequestID mints a short id for traced requests — unique within
 // the process, stable across the response, the slow-query log, and
 // /debug/requests.
@@ -402,7 +389,9 @@ func (s *Server) nextRequestID() string {
 	return "q" + strconv.FormatUint(s.reqSeq.Add(1), 10)
 }
 
-// QueryResponse is the POST /query JSON response.
+// QueryResponse is the POST /query JSON response: the wire schema
+// clients decode into. The handler never builds one; writeQueryJSON
+// renders the same bytes directly.
 type QueryResponse struct {
 	Doc       string              `json:"doc"`
 	Query     string              `json:"query"`
@@ -479,75 +468,70 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer br.release()
 	err := s.cat.ViewContext(ctx, req.Doc, func(doc *core.Document) error {
 		start := time.Now()
+		var (
+			st   *xpath.Stream
+			vals []xpath.Value
+		)
 		if req.FLWOR != "" {
-			s.serveFLWOR(ctx, br, doc, req, tr, limit, budget, start)
-			return nil
+			q, err := s.cache.flwor(req.FLWOR)
+			if err != nil {
+				s.failBuf(br, http.StatusBadRequest, "%v", err)
+				return nil
+			}
+			// One cumulative budget across every clause of every tuple: a
+			// FLWOR iterating many cheap tuples is bounded like one
+			// expensive XPath. EvalContext records the eval stage and
+			// visit count itself.
+			if vals, err = q.EvalContext(ctx, doc.GODDAG(), budget); err != nil {
+				s.failEval(br, err)
+				return nil
+			}
+		} else {
+			q, err := s.cache.xpath(req.Query)
+			if err != nil {
+				s.failBuf(br, http.StatusBadRequest, "%v", err)
+				return nil
+			}
+			// The stream executes the cached plan lazily: a limit or a
+			// count never materializes the full node set, and every pull
+			// passes the evaluator's cancellation checkpoints, so a client
+			// disconnect or expired deadline aborts the encode mid-stream.
+			if st, err = q.StreamContext(ctx, doc.GODDAG(), budget); err != nil {
+				s.failEval(br, err)
+				return nil
+			}
+			defer st.Close()
 		}
-		q, err := s.cache.xpath(req.Query)
-		if err != nil {
-			s.failBuf(br, http.StatusBadRequest, "%v", err)
-			return nil
-		}
-		// The stream executes the cached plan lazily: node-set results
-		// are pulled straight into the response buffer, so a limit or a
-		// count never materializes the full node set — and every pull
-		// passes the evaluator's cancellation checkpoints, so a client
-		// disconnect or expired deadline aborts the encode mid-stream.
-		st, err := q.StreamContext(ctx, doc.GODDAG(), budget)
-		if err != nil {
-			s.failEval(br, err)
-			return nil
-		}
-		defer st.Close()
-		var plan []string
-		if req.Explain || req.Trace {
-			plan = st.Explain()
-		}
-		// Each branch records its own encode stage. It also covers lazy
+		// Both renderers record the encode stage. It also covers lazy
 		// stream pulls: scan, semi-join and join plans do their
 		// evaluation inside Next, interleaved with encoding by design.
-		switch req.Format {
-		case "", "json":
-			if v, ok := st.Value(); ok {
-				sp := tr.Begin("encode")
-				enc := cliutil.EncodeValue(v, limit)
-				sp.End()
-				st.Close() // fold the evaluator's visit count into tr now
-				s.okBuf(br, QueryResponse{
-					Doc: req.Doc, Query: req.Query, Result: &enc, Plan: plan,
-					Trace:     s.respTrace(req, tr),
-					ElapsedUS: time.Since(start).Microseconds(),
-				})
-				return nil
-			}
-			if err := s.streamNodeSetJSON(br, req, st, tr, limit, plan, start); err != nil {
+		if req.Format == "" || req.Format == "json" {
+			if err := s.writeQueryJSON(br, req, st, vals, tr, limit, start); err != nil {
 				s.failEval(br, err)
 			}
-		case "text":
-			sp := tr.Begin("encode")
-			defer sp.End()
-			br.contentType = "text/plain; charset=utf-8"
-			if v, ok := st.Value(); ok {
-				cliutil.WriteValue(&br.body, v, false, limit)
-				return nil
+			return nil
+		}
+		sp := tr.Begin("encode")
+		defer sp.End()
+		br.contentType = "text/plain; charset=utf-8"
+		countOnly := req.Format == "count"
+		var err error
+		switch {
+		case st == nil:
+			cliutil.WriteFLWOR(&br.body, vals, countOnly, limit)
+		case !st.IsNodeSet():
+			v, _ := st.Value()
+			cliutil.WriteValue(&br.body, v, countOnly, limit)
+		case countOnly:
+			var n int
+			if n, err = st.Count(); err == nil {
+				fmt.Fprintln(&br.body, n)
 			}
-			if _, err := cliutil.WriteNodesText(&br.body, st, limit); err != nil {
-				s.failEval(br, err)
-			}
-		case "count":
-			sp := tr.Begin("encode")
-			defer sp.End()
-			br.contentType = "text/plain; charset=utf-8"
-			if v, ok := st.Value(); ok {
-				cliutil.WriteValue(&br.body, v, true, 0)
-				return nil
-			}
-			n, err := st.Count()
-			if err != nil {
-				s.failEval(br, err)
-				return nil
-			}
-			fmt.Fprintln(&br.body, n)
+		default:
+			_, err = cliutil.WriteNodesText(&br.body, st, limit)
+		}
+		if err != nil {
+			s.failEval(br, err)
 		}
 		return nil
 	})
@@ -574,16 +558,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	br.flush(w)
 }
 
-// respTrace finalizes the response's trace payload: only explicit
-// "trace": true requests get it (threshold-driven traces exist for the
-// slow-query log alone).
-func (s *Server) respTrace(req QueryRequest, tr *obs.Trace) *TraceJSON {
-	if !req.Trace {
-		return nil
-	}
-	return traceJSON(tr)
-}
-
 // failEval records an evaluation failure in the buffered response:
 // lifecycle errors (deadline, disconnect, budget) get their dedicated
 // status, everything else is an unprocessable query.
@@ -595,77 +569,51 @@ func (s *Server) failEval(br *bufferedResponse, err error) {
 	s.failBuf(br, http.StatusUnprocessableEntity, "%v", err)
 }
 
-// streamNodeSetJSON encodes a node-set stream as the QueryResponse
-// envelope, node by node through the pooled append encoders — the
-// response decodes identically to the materializing path (result type,
-// nodes, full count, truncation flag) but allocates a small constant
-// amount of scratch regardless of result size. When the limit cuts the
-// stream short the remainder is drained (counted, not encoded) so Count
-// still reports the true result size.
-func (s *Server) streamNodeSetJSON(br *bufferedResponse, req QueryRequest, st *xpath.Stream, tr *obs.Trace, limit int, plan []string, start time.Time) error {
-	// Append straight into the response buffer's free capacity and
-	// commit with one Write at the end (the bytes.Buffer.AvailableBuffer
-	// contract): on a warm pooled buffer the bytes are encoded in place,
-	// with no scratch-to-body copy at all. Error returns never Write, so
-	// a partial encode leaves the body untouched for failBuf.
+// writeQueryJSON writes every JSON /query body, byte-identical to
+// encoding/json of the QueryResponse the reference encoders would
+// build: an XPath result from st (nodes pulled one by one, never
+// materialized) or, when st is nil, a FLWOR's tuples. The bytes go into
+// the buffer's free capacity and are committed with one Write, so an
+// error return leaves the body untouched for failBuf. elapsed_us
+// covers evaluation and encoding.
+func (s *Server) writeQueryJSON(br *bufferedResponse, req QueryRequest, st *xpath.Stream, vals []xpath.Value, tr *obs.Trace, limit int, start time.Time) error {
 	buf := br.body.AvailableBuffer()
 	buf = append(buf, `{"doc":`...)
 	buf = cliutil.AppendJSONString(buf, req.Doc)
 	buf = append(buf, `,"query":`...)
-	buf = cliutil.AppendJSONString(buf, req.Query)
-	buf = append(buf, `,"result":{"type":"node-set"`...)
-
 	sp := tr.Begin("encode")
-	total := st.Size() // exact for scan plans, -1 otherwise
-	written := 0
-	var ne cliutil.NodeEncoder // rune cursors amortize span conversion
-	for limit <= 0 || written < limit {
-		n, err := st.Next()
-		if err != nil {
-			return err
-		}
-		if n == nil {
-			break
-		}
-		if written == 0 {
-			buf = append(buf, `,"nodes":[`...)
+	if st != nil {
+		buf = cliutil.AppendJSONString(buf, req.Query)
+		buf = append(buf, `,"result":`...)
+		if v, ok := st.Value(); ok {
+			buf, _, _ = cliutil.AppendValueJSON(buf, v, false, limit)
 		} else {
-			buf = append(buf, ',')
+			var err error
+			if buf, err = cliutil.AppendNodeSetJSON(buf, st, limit); err != nil {
+				return err
+			}
 		}
-		buf = ne.AppendNodeJSON(buf, n)
-		written++
-	}
-	count, truncated := written, false
-	if total >= 0 {
-		count, truncated = total, written < total
-	} else if n, err := st.Next(); err != nil {
-		return err
-	} else if n != nil {
-		rest, err := st.Count()
-		if err != nil {
-			return err
+		if req.Explain || req.Trace {
+			for i, line := range st.Explain() {
+				if i == 0 {
+					buf = append(buf, `,"plan":[`...)
+				} else {
+					buf = append(buf, ',')
+				}
+				buf = cliutil.AppendJSONString(buf, line)
+			}
+			buf = append(buf, ']')
 		}
-		count, truncated = written+1+rest, true
-	}
-	if written > 0 {
-		buf = append(buf, ']')
-	}
-	buf = append(buf, `,"count":`...)
-	buf = cliutil.AppendUint(buf, int64(count))
-	if truncated {
-		buf = append(buf, `,"truncated":true`...)
-	}
-	buf = append(buf, '}')
-	for i, line := range plan {
-		if i == 0 {
-			buf = append(buf, `,"plan":[`...)
-		} else {
-			buf = append(buf, ',')
+	} else {
+		buf = cliutil.AppendJSONString(buf, req.FLWOR)
+		if len(vals) > 0 { // "results" is omitted when no tuple survives
+			var truncated bool
+			buf = append(buf, `,"results":`...)
+			buf, truncated = cliutil.AppendValuesJSON(buf, vals, limit)
+			if truncated {
+				buf = append(buf, `,"truncated":true`...)
+			}
 		}
-		buf = cliutil.AppendJSONString(buf, line)
-	}
-	if len(plan) > 0 {
-		buf = append(buf, ']')
 	}
 	sp.End()
 	if req.Trace {
@@ -673,7 +621,9 @@ func (s *Server) streamNodeSetJSON(br *bufferedResponse, req QueryRequest, st *x
 		// folded into the trace; Close is idempotent for the deferred
 		// one. The stage durations are complete except the tail of the
 		// encode (these very bytes), which is noise.
-		st.Close()
+		if st != nil {
+			st.Close()
+		}
 		buf = appendTraceJSON(buf, tr)
 	}
 	buf = append(buf, `,"elapsed_us":`...)
@@ -683,9 +633,9 @@ func (s *Server) streamNodeSetJSON(br *bufferedResponse, req QueryRequest, st *x
 	return nil
 }
 
-// appendTraceJSON renders `,"trace":{...}` into the streaming encoder's
-// buffer — the hand-rolled twin of the TraceJSON struct, kept in the
-// same shape so both /query paths decode identically.
+// appendTraceJSON renders `,"trace":{...}` into a JSON /query body:
+// the one trace renderer, byte-identical to encoding/json of the
+// TraceJSON wire schema.
 func appendTraceJSON(buf []byte, tr *obs.Trace) []byte {
 	if tr == nil {
 		return buf
@@ -766,13 +716,6 @@ func (br *bufferedResponse) flush(w http.ResponseWriter) {
 	w.Write(br.body.Bytes())
 }
 
-// okBuf encodes a JSON success body into the buffer.
-func (s *Server) okBuf(br *bufferedResponse, v any) {
-	enc := json.NewEncoder(&br.body)
-	enc.SetEscapeHTML(false)
-	enc.Encode(v)
-}
-
 // failBuf records a JSON error response (no body for a 499) in the buffer.
 func (s *Server) failBuf(br *bufferedResponse, code int, format string, args ...any) {
 	s.errors.Add(1)
@@ -781,68 +724,6 @@ func (s *Server) failBuf(br *bufferedResponse, code int, format string, args ...
 	br.body.Reset()
 	if code != statusClientClosedRequest {
 		json.NewEncoder(&br.body).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-	}
-}
-
-func (s *Server) serveFLWOR(ctx context.Context, br *bufferedResponse, doc *core.Document, req QueryRequest, tr *obs.Trace, limit int, budget xpath.Budget, start time.Time) {
-	q, err := s.cache.flwor(req.FLWOR)
-	if err != nil {
-		s.failBuf(br, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// One cumulative budget across every clause of every tuple: a FLWOR
-	// iterating many cheap tuples is bounded like one expensive XPath.
-	// EvalContext records the eval stage and visit count itself.
-	vals, err := q.EvalContext(ctx, doc.GODDAG(), budget)
-	if err != nil {
-		s.failEval(br, err)
-		return
-	}
-	elapsed := time.Since(start)
-	sp := tr.Begin("encode")
-	switch req.Format {
-	case "", "json":
-		// The node cap is a per-response budget: tuples are encoded until
-		// their cumulative nodes/attrs exhaust it, then the tuple list is
-		// cut short and the response marked truncated — a FLWOR over a
-		// large document cannot bypass MaxResults by returning one node
-		// per tuple.
-		out := make([]cliutil.ValueJSON, 0, len(vals))
-		remaining := limit
-		truncated := false
-		for _, v := range vals {
-			if limit > 0 && remaining <= 0 {
-				truncated = true
-				break
-			}
-			enc := cliutil.EncodeValue(v, remaining)
-			truncated = truncated || enc.Truncated
-			if limit > 0 {
-				switch enc.Type {
-				case "node-set":
-					remaining -= len(enc.Nodes)
-				case "attribute-set":
-					remaining -= len(enc.Attrs)
-				default:
-					remaining-- // scalars count one line, as in the text format
-				}
-			}
-			out = append(out, enc)
-		}
-		sp.End() // before the trace renders, so the encode stage is in it
-		s.okBuf(br, QueryResponse{
-			Doc: req.Doc, Query: req.FLWOR, Results: out, Truncated: truncated,
-			Trace:     s.respTrace(req, tr),
-			ElapsedUS: elapsed.Microseconds(),
-		})
-	case "text":
-		br.contentType = "text/plain; charset=utf-8"
-		cliutil.WriteFLWOR(&br.body, vals, false, limit)
-		sp.End()
-	case "count":
-		br.contentType = "text/plain; charset=utf-8"
-		cliutil.WriteFLWOR(&br.body, vals, true, 0)
-		sp.End()
 	}
 }
 
@@ -1222,15 +1103,22 @@ func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...an
 type queryCache struct {
 	mu     sync.Mutex
 	cap    int
-	xp     map[string]*list.Element // of *cacheNode
-	order  *list.List               // most recently used at the front
+	xp     map[cacheKey]*list.Element // of *cacheNode
+	order  *list.List                 // most recently used at the front
 	hits   uint64
 	misses uint64
 }
 
+// cacheKey names a compiled query by its kind and source text. A
+// struct key, not a prefixed string, so a lookup builds no string.
+type cacheKey struct {
+	flwor bool
+	src   string
+}
+
 type cacheNode struct {
-	key   string
-	query any // *xpath.Query or *xquery.Query, per the key prefix
+	key   cacheKey
+	query any // *xpath.Query or *xquery.Query, per key.flwor
 }
 
 // CacheStats reports compiled-query cache behaviour.
@@ -1242,11 +1130,11 @@ type CacheStats struct {
 }
 
 func newQueryCache(capacity int) *queryCache {
-	return &queryCache{cap: capacity, xp: make(map[string]*list.Element), order: list.New()}
+	return &queryCache{cap: capacity, xp: make(map[cacheKey]*list.Element), order: list.New()}
 }
 
 func (qc *queryCache) xpath(src string) (*xpath.Query, error) {
-	q, err := qc.lookup("x\x00"+src, func() (any, error) { return xpath.Compile(src) })
+	q, err := qc.lookup(cacheKey{src: src}, func() (any, error) { return xpath.Compile(src) })
 	if err != nil {
 		return nil, err
 	}
@@ -1254,7 +1142,7 @@ func (qc *queryCache) xpath(src string) (*xpath.Query, error) {
 }
 
 func (qc *queryCache) flwor(src string) (*xquery.Query, error) {
-	q, err := qc.lookup("f\x00"+src, func() (any, error) { return xquery.Compile(src) })
+	q, err := qc.lookup(cacheKey{flwor: true, src: src}, func() (any, error) { return xquery.Compile(src) })
 	if err != nil {
 		return nil, err
 	}
@@ -1264,7 +1152,7 @@ func (qc *queryCache) flwor(src string) (*xquery.Query, error) {
 // lookup returns the cached compiled form for key, compiling (outside
 // the lock) and inserting on a miss. If a concurrent request compiled
 // the same key first, its entry is kept and ours discarded.
-func (qc *queryCache) lookup(key string, compile func() (any, error)) (any, error) {
+func (qc *queryCache) lookup(key cacheKey, compile func() (any, error)) (any, error) {
 	qc.mu.Lock()
 	if el, ok := qc.xp[key]; ok {
 		qc.hits++

@@ -47,16 +47,31 @@ import (
 // Plan is a prepared execution strategy for a Query against a specific
 // document. Explain exposes it to clients via the server's explain flag.
 type Plan struct {
-	kind      planKind
-	test      nodeTest // planScan: the bucket to scan; planJoin: the origins
-	preds     []expr   // planScan: predicates pushed into the scan
-	outTest   nodeTest // planSemiJoin, planJoin: output-side bucket
-	probeName string   // planSemiJoin: witness name ("" = any element)
-	axis      Axis     // planJoin: covered or covering
-	inner     *Plan    // planCount / planExists
-	negate    bool     // planExists: not(path)
-	lines     []string
+	kind    planKind
+	test    nodeTest // planScan: the bucket to scan; planSemiJoin, planJoin: the origins
+	preds   []expr   // planScan: predicates pushed into the scan
+	outTest nodeTest // planSemiJoin, planJoin: output-side bucket
+	axis    Axis     // planJoin: covered or covering; a one-step scan: its axis
+	inner   *Plan    // planCount / planExists
+	negate  bool     // planExists: not(path)
+	// What Explain reports, formatted only when a caller asks: the
+	// decision within the kind and the bucket sizes it was taken on.
+	why        planWhy
+	estA, estB int // origin (or scanned) side, output side
 }
+
+// planWhy tells apart the decisions that share a plan kind.
+type planWhy uint8
+
+const (
+	whyNoShape   planWhy = iota // planEval: no streamable shape
+	whyReference                // planEval: Options.Reference
+	whyForward                  // planEval: overlap origin side no larger, forward drive kept
+	whyPerOrigin                // planEval: covering output side too large to join
+	whyScanStep                 // planScan: one descendant step, as written
+	whyScanName                 // planScan: '//name[preds]' over the name bucket
+	whyEmpty                    // planScan: the overlap origin bucket is empty
+)
 
 type planKind int
 
@@ -71,8 +86,54 @@ const (
 )
 
 // Explain returns the human-readable plan description, one decision per
-// line.
-func (p *Plan) Explain() []string { return p.lines }
+// line. The lines are built on each call: planning records only what
+// they are made from, since most plans are never explained.
+func (p *Plan) Explain() []string {
+	switch p.kind {
+	case planCount, planExists:
+		line := "count: streamed without materializing the node set"
+		switch {
+		case p.kind == planExists && p.negate:
+			line = "exists(negated): stop at the first streamed match"
+		case p.kind == planExists:
+			line = "exists: stop at the first streamed match"
+		case p.inner.kind == planScan && len(p.inner.preds) == 0:
+			line = "count: O(1) bucket cardinality, no evaluation"
+		}
+		return append(p.inner.Explain(), line)
+	case planSemiJoin:
+		return []string{fmt.Sprintf("semi-join(reversed): scan output side %s (%d candidates), probe span index for one properly overlapping %s (%d); driven from the rarer side",
+			bucketLabel(p.outTest), p.estB, bucketLabel(p.test), p.estA)}
+	case planJoin:
+		return []string{fmt.Sprintf("join: %s::%s merges origin side %s (%d) with output side %s (%d) in one pass, document order, dedup-free",
+			p.axis, p.outTest.String(), bucketLabel(p.test), p.estA, bucketLabel(p.outTest), p.estB)}
+	}
+	switch p.why {
+	case whyReference:
+		return []string{"materialize: planner disabled by Options.Reference"}
+	case whyForward:
+		return []string{fmt.Sprintf("semi-join(forward): origin side %s (%d) is no larger than output side %s (%d); forward drive kept, materializing evaluator",
+			bucketLabel(p.test), p.estA, bucketLabel(p.outTest), p.estB)}
+	case whyPerOrigin:
+		return []string{fmt.Sprintf("join(per-origin): output side %s (%d) exceeds %d× origin side %s (%d); one span-index probe per origin, materializing evaluator",
+			bucketLabel(p.outTest), p.estB, coveringJoinRatio, bucketLabel(p.test), p.estA)}
+	case whyScanStep:
+		scan := fmt.Sprintf("scan: %s from root via %s (%d candidates), document order, dedup-free",
+			step{axis: p.axis, test: p.test, preds: p.preds}.String(), bucketLabel(p.test), p.estA)
+		if len(p.preds) == 0 {
+			return []string{scan}
+		}
+		return []string{scan, fmt.Sprintf("pushdown: %d predicate(s) applied during the scan", len(p.preds))}
+	case whyScanName:
+		return []string{
+			fmt.Sprintf("scan: //%s via %s (%d candidates), document order, dedup-free", p.test.String(), bucketLabel(p.test), p.estA),
+			fmt.Sprintf("pushdown: %d position-free predicate(s) applied during the scan", len(p.preds)),
+		}
+	case whyEmpty:
+		return []string{fmt.Sprintf("empty: origin %s has no elements, result is empty", bucketLabel(p.test))}
+	}
+	return []string{"materialize: full evaluation (no streamable shape)"}
+}
 
 // planSlot is the single-entry plan cache attached to a Query. It names
 // the planned document by its serial, not by pointer, and a Plan holds
@@ -90,7 +151,7 @@ type planSlot struct {
 // ablation benchmark measure what they claim to.
 func (q *Query) planFor(doc *goddag.Document, opts Options) *Plan {
 	if opts.Reference {
-		return &Plan{kind: planEval, lines: []string{"materialize: planner disabled by Options.Reference"}}
+		return &Plan{kind: planEval, why: whyReference}
 	}
 	ser, ver := doc.Serial(), doc.Version()
 	if s := q.plan.Load(); s != nil && s.serial == ser && s.version == ver {
@@ -112,60 +173,43 @@ func planQuery(doc *goddag.Document, root expr) *Plan {
 	switch n := root.(type) {
 	case *pathExpr:
 		if pl, ok := planNodes(doc, n); ok {
-			return pl
+			return &pl
 		}
 	case *callExpr:
+		kind := planCount
+		switch n.name {
+		case "count":
+		case "boolean", "not":
+			kind = planExists
+		default:
+			return &Plan{kind: planEval}
+		}
 		if len(n.args) == 1 {
 			if p, ok := n.args[0].(*pathExpr); ok {
 				if inner, ok := planNodes(doc, p); ok && inner.kind != planEval {
-					switch n.name {
-					case "count":
-						return wrapPlan(planCount, inner, false, countLine(inner))
-					case "boolean":
-						return wrapPlan(planExists, inner, false, "exists: stop at the first streamed match")
-					case "not":
-						return wrapPlan(planExists, inner, true, "exists(negated): stop at the first streamed match")
-					}
+					return &Plan{kind: kind, inner: &inner, negate: n.name == "not"}
 				}
 			}
 		}
 	}
-	return &Plan{kind: planEval, lines: []string{"materialize: full evaluation (no streamable shape)"}}
-}
-
-func wrapPlan(kind planKind, inner *Plan, negate bool, line string) *Plan {
-	lines := make([]string, 0, len(inner.lines)+1)
-	lines = append(lines, inner.lines...)
-	lines = append(lines, line)
-	return &Plan{kind: kind, inner: inner, negate: negate, lines: lines}
-}
-
-func countLine(inner *Plan) string {
-	if inner.kind == planScan && len(inner.preds) == 0 {
-		return "count: O(1) bucket cardinality, no evaluation"
-	}
-	return "count: streamed without materializing the node set"
+	return &Plan{kind: planEval}
 }
 
 // planNodes plans an absolute, filter-free path expression. It returns
 // ok=false when the shape is not recognized at all; a returned planEval
 // plan means the shape was recognized but the statistics favour the
-// existing evaluator (the explain lines say why).
-func planNodes(doc *goddag.Document, p *pathExpr) (*Plan, bool) {
+// existing evaluator (the explain lines say why). The plan is returned
+// by value, so a caller that only runs it allocates nothing.
+func planNodes(doc *goddag.Document, p *pathExpr) (Plan, bool) {
 	if p.filter != nil || !p.absolute || len(p.steps) == 0 {
-		return nil, false
+		return Plan{}, false
 	}
 	steps := p.steps
 
 	if len(steps) == 1 {
 		st := steps[0]
 		if !descendantAxis(st.axis) || !elementTest(st.test) {
-			return nil, false
-		}
-		est := len(bucket(doc, st.test))
-		scanLine := fmt.Sprintf("scan: %s from root via %s (%d candidates), document order, dedup-free", st.String(), bucketLabel(st.test), est)
-		if len(st.preds) == 0 {
-			return &Plan{kind: planScan, test: st.test, lines: []string{scanLine}}, true
+			return Plan{}, false
 		}
 		// Pushdown. With the root as the only origin the candidate list
 		// the scan sees is exactly the list evalStep would build, so
@@ -173,15 +217,13 @@ func planNodes(doc *goddag.Document, p *pathExpr) (*Plan, bool) {
 		// cursor tracks per-stage positions incrementally. Only last()
 		// in a later stage is out: its value is the previous stage's
 		// survivor count, unknown until the scan ends.
-		for _, pr := range st.preds[1:] {
-			if usesCall(pr, "last") {
-				return nil, false
+		for i, pr := range st.preds {
+			if i > 0 && usesCall(pr, "last") {
+				return Plan{}, false
 			}
 		}
-		return &Plan{kind: planScan, test: st.test, preds: st.preds, lines: []string{
-			scanLine,
-			fmt.Sprintf("pushdown: %d predicate(s) applied during the scan", len(st.preds)),
-		}}, true
+		return Plan{kind: planScan, why: whyScanStep, test: st.test, preds: st.preds, axis: st.axis,
+			estA: len(bucket(doc, st.test))}, true
 	}
 
 	if len(steps) == 2 {
@@ -197,11 +239,8 @@ func planNodes(doc *goddag.Document, p *pathExpr) (*Plan, bool) {
 		if s1.axis == AxisDescendantOrSelf && s1.test.kind == testNode && len(s1.preds) == 0 &&
 			s2.axis == AxisChild && elementTest(s2.test) && len(s2.preds) > 0 &&
 			predsStaticBool(s2.preds) {
-			est := len(bucket(doc, s2.test))
-			return &Plan{kind: planScan, test: s2.test, preds: s2.preds, lines: []string{
-				fmt.Sprintf("scan: //%s via %s (%d candidates), document order, dedup-free", s2.test.String(), bucketLabel(s2.test), est),
-				fmt.Sprintf("pushdown: %d position-free predicate(s) applied during the scan", len(s2.preds)),
-			}}, true
+			return Plan{kind: planScan, why: whyScanName, test: s2.test, preds: s2.preds,
+				estA: len(bucket(doc, s2.test))}, true
 		}
 
 		// Overlap semi-join: //a/overlapping::b. Proper overlap is
@@ -211,23 +250,17 @@ func planNodes(doc *goddag.Document, p *pathExpr) (*Plan, bool) {
 		// the output is bucket order (= document order), dedup-free.
 		if descendantAxis(s1.axis) && elementTest(s1.test) && len(s1.preds) == 0 &&
 			s2.axis == AxisOverlapping && elementTest(s2.test) && len(s2.preds) == 0 {
-			estA := len(bucket(doc, s1.test))
-			estB := len(bucket(doc, s2.test))
-			if estA == 0 {
-				return &Plan{kind: planScan, test: s1.test, lines: []string{
-					fmt.Sprintf("empty: origin %s has no elements, result is empty", bucketLabel(s1.test)),
-				}}, true
+			pl := Plan{test: s1.test, outTest: s2.test,
+				estA: len(bucket(doc, s1.test)), estB: len(bucket(doc, s2.test))}
+			switch {
+			case pl.estA == 0:
+				pl.kind, pl.why = planScan, whyEmpty
+			case pl.estB < pl.estA:
+				pl.kind = planSemiJoin
+			default:
+				pl.kind, pl.why = planEval, whyForward
 			}
-			if estB < estA {
-				return &Plan{kind: planSemiJoin, outTest: s2.test, probeName: probeNameOf(s1.test), lines: []string{
-					fmt.Sprintf("semi-join(reversed): scan output side %s (%d candidates), probe span index for one properly overlapping %s (%d); driven from the rarer side",
-						bucketLabel(s2.test), estB, bucketLabel(s1.test), estA),
-				}}, true
-			}
-			return &Plan{kind: planEval, lines: []string{
-				fmt.Sprintf("semi-join(forward): origin side %s (%d) is no larger than output side %s (%d); forward drive kept, materializing evaluator",
-					bucketLabel(s1.test), estA, bucketLabel(s2.test), estB),
-			}}, true
+			return pl, true
 		}
 
 		// Span join: //a/covered::b and //a/covering::b merge the two
@@ -235,21 +268,15 @@ func planNodes(doc *goddag.Document, p *pathExpr) (*Plan, bool) {
 		// dedup-free.
 		if descendantAxis(s1.axis) && elementTest(s1.test) && len(s1.preds) == 0 &&
 			(s2.axis == AxisCovered || s2.axis == AxisCovering) && elementTest(s2.test) && len(s2.preds) == 0 {
-			estA := len(bucket(doc, s1.test))
-			estB := len(bucket(doc, s2.test))
-			if !joinPays(s2.axis, estA, estB) {
-				return &Plan{kind: planEval, lines: []string{
-					fmt.Sprintf("join(per-origin): output side %s (%d) exceeds %d× origin side %s (%d); one span-index probe per origin, materializing evaluator",
-						bucketLabel(s2.test), estB, coveringJoinRatio, bucketLabel(s1.test), estA),
-				}}, true
+			pl := Plan{kind: planJoin, test: s1.test, outTest: s2.test, axis: s2.axis,
+				estA: len(bucket(doc, s1.test)), estB: len(bucket(doc, s2.test))}
+			if !joinPays(s2.axis, pl.estA, pl.estB) {
+				pl.kind, pl.why = planEval, whyPerOrigin
 			}
-			return &Plan{kind: planJoin, test: s1.test, outTest: s2.test, axis: s2.axis, lines: []string{
-				fmt.Sprintf("join: %s::%s merges origin side %s (%d) with output side %s (%d) in one pass, document order, dedup-free",
-					s2.axis, s2.test.String(), bucketLabel(s1.test), estA, bucketLabel(s2.test), estB),
-			}}, true
+			return pl, true
 		}
 	}
-	return nil, false
+	return Plan{}, false
 }
 
 func descendantAxis(ax Axis) bool {
@@ -534,7 +561,7 @@ func (ev *evaluator) nodeCursor(pl *Plan, vars Bindings) cursor {
 		// visit per expression), so predCursor needs no tick of its own.
 		return &predCursor{ev: ev, els: els, preds: pl.preds, vars: vars, pos: make([]int, len(pl.preds))}
 	case planSemiJoin:
-		return &semiJoinCursor{doc: ev.doc, els: bucket(ev.doc, pl.outTest), probeName: pl.probeName, lim: ev.lim}
+		return &semiJoinCursor{doc: ev.doc, els: bucket(ev.doc, pl.outTest), probeName: probeNameOf(pl.test), lim: ev.lim}
 	case planJoin:
 		return newSpanJoin(pl.axis, bucket(ev.doc, pl.outTest), bucket(ev.doc, pl.test), nil, ev.lim)
 	}
@@ -569,7 +596,7 @@ func (ev *evaluator) plannedCount(arg expr, ctx evalCtx) (int, bool, error) {
 	if !ok {
 		return 0, false, nil
 	}
-	n, err := ev.countPlan(inner, ctx.vars)
+	n, err := ev.countPlan(&inner, ctx.vars)
 	return n, true, err
 }
 
@@ -579,7 +606,7 @@ func (ev *evaluator) plannedExists(arg expr, ctx evalCtx) (bool, bool, error) {
 	if !ok {
 		return false, false, nil
 	}
-	exists, err := ev.existsPlan(inner, ctx.vars)
+	exists, err := ev.existsPlan(&inner, ctx.vars)
 	return exists, true, err
 }
 
@@ -587,19 +614,16 @@ func (ev *evaluator) plannedExists(arg expr, ctx evalCtx) (bool, bool, error) {
 // (not Options.Reference) and the argument is a streamable absolute
 // path. Absolute paths are context-independent, so the clamp is valid
 // at any evaluation position.
-func (ev *evaluator) streamableArg(arg expr) (*Plan, bool) {
+func (ev *evaluator) streamableArg(arg expr) (Plan, bool) {
 	if ev.opts.Reference {
-		return nil, false
+		return Plan{}, false
 	}
 	p, ok := arg.(*pathExpr)
 	if !ok {
-		return nil, false
+		return Plan{}, false
 	}
 	inner, ok := planNodes(ev.doc, p)
-	if !ok || inner.kind == planEval {
-		return nil, false
-	}
-	return inner, true
+	return inner, ok && inner.kind != planEval
 }
 
 // existsPlan pulls at most one node from a streamable inner plan.

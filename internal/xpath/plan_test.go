@@ -246,6 +246,48 @@ func TestPlanExplainShapes(t *testing.T) {
 	}
 }
 
+// TestPlanAllocs holds planning to recording what Explain is made
+// from: no line is formatted unless a caller asks for it, and a
+// count() inside a predicate does not replan with formatting per
+// context node.
+func TestPlanAllocs(t *testing.T) {
+	doc, err := corpus.Generate(corpus.DefaultConfig(400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		query string
+		max   float64
+	}{
+		{"//w", 1},         // the plan
+		{"count(//w)", 2},  // the plan and its inner scan
+		{"string(//w)", 1}, // no streamable shape, and no inner plan thrown away
+		{"//w[@n='5']", 1}, // a pushdown scan
+		{"//dmg/covering::*", 1},
+	} {
+		root := MustCompile(tc.query).root
+		if allocs := testing.AllocsPerRun(20, func() { planQuery(doc, root) }); allocs > tc.max {
+			t.Errorf("planQuery(%s): %.0f allocs, want at most %.0f", tc.query, allocs, tc.max)
+		}
+	}
+	words := len(doc.ElementsNamed("w"))
+	evalAllocs := func(query string) float64 {
+		q := MustCompile(query)
+		if _, err := q.Eval(doc); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() { q.Eval(doc) })
+	}
+	base, counted := evalAllocs("//w[true()]"), evalAllocs("//w[count(//dmg) > 0]")
+	t.Logf("//w[true()] %.0f, //w[count(//dmg) > 0] %.0f allocs per Eval", base, counted)
+	// The count runs per word through a streamed cursor: one allocation
+	// each, with one more of slack.
+	if counted > base+2*float64(words) {
+		t.Errorf("//w[count(//dmg) > 0]: %.0f allocs per Eval, want at most %.0f (//w[true()] %.0f + 2 per word, %d words)",
+			counted, base+2*float64(words), base, words)
+	}
+}
+
 // TestPlanCacheInvalidation mutates the document and checks the cached
 // plan is re-derived — the new element must be visible through a
 // previously planned query.
